@@ -6,9 +6,14 @@ smaller order.  The named generating functions (:func:`gf`) are built from
 series primitives only; in particular the partition series is obtained by
 *inverting* the pentagonal-number expansion of the q-Pochhammer product, so
 its coefficients arrive by a different route than the recurrence in
-:mod:`mexcrank.partitions`.  Every infinite sum is truncated at the first
-term whose minimal exponent exceeds N; the exponents grow quadratically in
-the summation index, so the truncation is finite and exact.
+:mod:`mexcrank.partitions`.  The other quotients by (q;q)_inf (the crank,
+crank-at-least-j and top-row-avoiding Frobenius series, and the
+distinct-parts series as (q^2;q^2)_inf / (q;q)_inf) are solved by
+pentagonal division, one coefficient at a time with O(sqrt(N)) terms each,
+so they cost O(N*sqrt(N)) rather than a dense O(N^2) product.  Every
+infinite sum is truncated at the first term whose minimal exponent exceeds
+N; the exponents grow quadratically in the summation index, so the
+truncation is finite and exact.
 """
 
 from __future__ import annotations
@@ -84,15 +89,15 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        if len(a) > len(b):
+        a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
+        # Loop over the operand with fewer nonzero terms: a sparse series
+        # times a dense one then costs O(terms * N) in either order.
+        if sum(1 for c in a if c) > sum(1 for c in b if c):
             a, b = b, a
         out = [0] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
+        for i, ai in enumerate(a):
             if ai:
-                for j in range(n - i + 1):
-                    out[i + j] += ai * b[j]
+                out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
         return TruncatedSeries(out)
 
     def invert(self) -> TruncatedSeries:
@@ -190,6 +195,14 @@ def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
         coeffs[i] += coeffs[i - k]
 
 
+def _div_one_minus_qk_squared(coeffs: list[int], k: int) -> None:
+    # Both divisions by (1 - q^k) in one upward pass.
+    for i in range(k, min(2 * k, len(coeffs))):
+        coeffs[i] += 2 * coeffs[i - k]
+    for i in range(2 * k, len(coeffs)):
+        coeffs[i] += 2 * coeffs[i - k] - coeffs[i - 2 * k]
+
+
 # --- named generating functions -------------------------------------------
 
 EULER_INV = "euler_inv"
@@ -250,7 +263,8 @@ class GfKind:
 
     @classmethod
     def distinct(cls) -> GfKind:
-        """Product of (1+q^k): distinct-part partition numbers q(n)."""
+        """Distinct-part partition numbers q(n): the product of (1+q^k),
+        built as (q^2;q^2)_inf / (q;q)_inf by pentagonal division."""
         return cls(DISTINCT)
 
     @classmethod
@@ -315,13 +329,38 @@ def _gf_euler_inv(order: int) -> TruncatedSeries:
     return _gf_poch_q_inf(order).invert()
 
 
+def _divide_by_poch(num: Sequence[int]) -> TruncatedSeries:
+    """num / (q;q)_inf to the order of num, by the pentagonal recurrence.
+
+    Solves (q;q)_inf * out = num one coefficient at a time:
+    out[n] = num[n] - sum_g c_g out[n - g] over the generalized pentagonal
+    numbers 0 < g <= n, where c_g = +-1.  That is O(sqrt(n)) terms per
+    coefficient instead of a dense product with 1/(q;q)_inf.
+    """
+    poch = _gf_poch_q_inf(len(num) - 1).coeffs
+    minus = [g for g, c in enumerate(poch) if c < 0]
+    plus = [g for g, c in enumerate(poch) if c > 0 and g]
+    out: list[int] = []
+    for n, acc in enumerate(num):
+        for g in minus:
+            if g > n:
+                break
+            acc += out[n - g]
+        for g in plus:
+            if g > n:
+                break
+            acc -= out[n - g]
+        out.append(acc)
+    return TruncatedSeries(out)
+
+
 def _gf_distinct(order: int) -> TruncatedSeries:
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for k in range(1, order + 1):
-        for i in range(order, k - 1, -1):
-            coeffs[i] += coeffs[i - k]
-    return TruncatedSeries(coeffs)
+    # prod (1 + q^k) = (q^2;q^2)_inf / (q;q)_inf: the pentagonal expansion
+    # moved to even exponents, then divided.
+    num = [0] * (order + 1)
+    for g, c in enumerate(_gf_poch_q_inf(order // 2).coeffs):
+        num[2 * g] = c
+    return _divide_by_poch(num)
 
 
 def _gf_crank_m(m: int, order: int) -> TruncatedSeries:
@@ -338,7 +377,7 @@ def _gf_crank_m(m: int, order: int) -> TruncatedSeries:
         if e + n <= order:
             num[e + n] -= sign
         n += 1
-    return _gf_euler_inv(order) * TruncatedSeries(num)
+    return _divide_by_poch(num)
 
 
 def _gf_crank_geq_j(j: int, order: int) -> TruncatedSeries:
@@ -353,7 +392,7 @@ def _gf_crank_geq_j(j: int, order: int) -> TruncatedSeries:
         if e + 2 * k + j + 1 <= order:
             num[e + 2 * k + j + 1] -= 1
         k += 1
-    return _gf_euler_inv(order) * TruncatedSeries(num)
+    return _divide_by_poch(num)
 
 
 def _gf_frob_no0(order: int) -> TruncatedSeries:
@@ -373,18 +412,26 @@ def _gf_frob_no0(order: int) -> TruncatedSeries:
 
 
 def _gf_crank0_alt(order: int) -> TruncatedSeries:
-    # (q)_inf * sum_{k>=0} q^(2k) / (q)_k^2.
+    # (q)_inf * sum_{k>=0} q^(2k) / (q)_k^2.  Term k reads the running
+    # factor 1/(q)_k^2 only up to index order - 2k, so it is divided only
+    # that far.  Once k > order - 2k, dividing by (1-q^k) leaves those
+    # indices alone, so every later term adds the same running factor: the
+    # remaining sum is one pass of running sums over every other index.
     running = [0] * (order + 1)
     running[0] = 1
     total = list(running)
     k = 1
-    while 2 * k <= order:
-        _div_one_minus_qk(running, k)
-        _div_one_minus_qk(running, k)
-        base = 2 * k
-        for i in range(order - base + 1):
-            total[base + i] += running[i]
+    while 3 * k <= order:
+        del running[order - 2 * k + 1:]
+        _div_one_minus_qk_squared(running, k)
+        total[2 * k:] = [t + r for t, r in zip(total[2 * k:], running)]
         k += 1
+    if 2 * k <= order:
+        # total[n] += sum over k' >= k with 2k' <= n of running[n - 2k'].
+        del running[order - 2 * k + 1:]
+        for i in range(2, len(running)):
+            running[i] += running[i - 2]
+        total[2 * k:] = [t + r for t, r in zip(total[2 * k:], running)]
     return _gf_poch_q_inf(order) * TruncatedSeries(total)
 
 
@@ -398,7 +445,7 @@ def _gf_frob_noj_top(j: int, order: int) -> TruncatedSeries:
             break
         num[e] += -1 if b % 2 else 1
         b += 1
-    return _gf_euler_inv(order) * TruncatedSeries(num)
+    return _divide_by_poch(num)
 
 
 def _gf_durfee_rect_b(b: int, order: int) -> TruncatedSeries:

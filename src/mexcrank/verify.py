@@ -18,7 +18,6 @@ n = 1 values on both sides, so the discrepancy is asserted, never skipped.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -222,24 +221,20 @@ class VerificationReport:
 def run_check(check: IdentityCheck, *, workers: int = 1) -> VerificationReport:
     """Evaluate both sides at every grid point; exact equality everywhere.
 
-    Grid points may be spread over worker threads; records always come back
-    in grid order, so reports are identical for every worker count.
+    Records come back in grid order.  ``workers`` is still accepted and
+    must be positive, but it is a no-op kept for one release: grid points
+    are always evaluated one after another in this thread, because the
+    shared p(n) cache in :mod:`mexcrank.partitions` is not thread-safe.
     """
     if not check.grid:
         raise ValueError(f"check {check.check_id} has an empty parameter grid")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-
-    def evaluate(point: Params) -> CheckRecord:
+    records = []
+    for point in check.grid:
         lhs = check.lhs_fn(point)
         rhs = check.rhs_fn(point)
-        return CheckRecord(params=point, lhs=lhs, rhs=rhs, passed=lhs == rhs)
-
-    if workers == 1:
-        records = [evaluate(point) for point in check.grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(evaluate, check.grid))
+        records.append(CheckRecord(params=point, lhs=lhs, rhs=rhs, passed=lhs == rhs))
     return VerificationReport(check.check_id, check.statement, tuple(records))
 
 

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mexcrank import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -219,6 +223,31 @@ class TestVerify:
         assert first[0] == second[0] == threaded[0] == 0
         assert first[1] == second[1] == threaded[1]
 
+    def test_json_is_canonical_encoding(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--all", "--n-max", "12", "--budget", "12", "--format", "json"],
+            capsys)
+        assert code == 0
+        canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+        assert out == canonical + "\n"
+
+    def test_workers_flag_cold_processes_agree(self):
+        # A thread pool once raced on the shared p(n) table and reported
+        # false counterexamples from cold caches; --workers is now a no-op.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.pop(cli.ENV_BUDGET, None)
+        argv = [sys.executable, "-m", "mexcrank", "verify", "--check", "INEQ_OE",
+                "--check", "THM_AN_PARITY", "--workers", "4"]
+        outputs = set()
+        for _ in range(5):
+            result = subprocess.run(argv, capture_output=True, text=True, env=env,
+                                    timeout=60)
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+
     def test_env_budget_caps_grids(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_BUDGET, "8")
         code, out, _ = run_cli(
@@ -269,6 +298,7 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is False
         assert payload["reports"][0]["first_counterexample"]["params"] == {"k": 5}
+        assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert "FAIL" in err
 
 

@@ -1,0 +1,47 @@
+"""Property tests for series arithmetic; skipped when hypothesis is absent."""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from mexcrank.qseries import TruncatedSeries  # noqa: E402
+
+given, settings = hypothesis.given, hypothesis.settings
+
+COEFF = st.integers(-50, 50)
+
+
+def series_tuples(count: int, *, unit: bool = False):
+    """``count`` series of one shared random order (0..25)."""
+
+    def of_order(order: int):
+        head = st.sampled_from((1, -1)) if unit else COEFF
+        one_series = st.builds(
+            lambda c0, rest: TruncatedSeries((c0, *rest)),
+            head, st.lists(COEFF, min_size=order, max_size=order))
+        return st.tuples(*[one_series] * count)
+
+    return st.integers(0, 25).flatmap(of_order)
+
+
+@settings(deadline=None)
+@given(series_tuples(3))
+def test_ring_laws(triple):
+    a, b, c = triple
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == a * TruncatedSeries((0,), a.order)
+
+
+@settings(deadline=None)
+@given(series_tuples(2, unit=True))
+def test_inverse_of_product(pair):
+    a, b = pair
+    assert (a * b).invert() == a.invert() * b.invert()
+    assert a * a.invert() == TruncatedSeries((1,), a.order)

@@ -78,6 +78,19 @@ class TestArithmetic:
         s = TruncatedSeries((3, 1, 4, 1, 5))
         assert (s * one(4)) == s
 
+    def test_sparse_times_dense_either_way_round(self):
+        order = 300
+        sparse = gf(GfKind.poch_q_inf(), order)
+        dense = random_series(random.Random(300), order)
+        naive = [0] * (order + 1)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                naive[i + j] += sparse[i] * dense[j]
+        assert (sparse * dense).coeffs == tuple(naive)
+        assert (dense * sparse).coeffs == tuple(naive)
+        assert sparse * gf(GfKind.euler_inv(), order) == one(order)
+        assert gf(GfKind.euler_inv(), order) * sparse == one(order)
+
     def test_mixed_orders_truncate_to_smaller(self):
         a = TruncatedSeries((1, 2, 3, 4))
         b = TruncatedSeries((1, 1))
@@ -251,3 +264,80 @@ class TestHeineInstance:
         lhs, rhs = heine_sides(60)
         assert rhs == gf(GfKind.crank0_alt(), 60)
         assert lhs == gf(GfKind.crank_m(0), 60)
+
+
+# The crank, crank-at-least-j and top-row-avoiding series divide a sparse
+# numerator by (q;q)_inf.  Their reference route below is the one spelled in
+# the public API: the inverted pentagonal product times the numerator.
+
+def quotient_by_poch(terms: list[tuple[int, int]], order: int) -> TruncatedSeries:
+    """gf(euler_inv) times the numerator sum of sign * q^exponent."""
+    num = zero(order)
+    for exponent, sign in terms:
+        monomial = q_power(exponent, order)
+        num = num + monomial if sign > 0 else num - monomial
+    return gf(GfKind.euler_inv(), order) * num
+
+
+def crank_m_terms(m: int, order: int) -> list[tuple[int, int]]:
+    # sum_{n>=1} (-1)^(n-1) q^(n(n-1)/2 + n|m|) (1 - q^n)
+    terms, n = [], 1
+    while n * (n - 1) // 2 + n * abs(m) <= order:
+        e, sign = n * (n - 1) // 2 + n * abs(m), (-1) ** (n - 1)
+        terms += [(e, sign), (e + n, -sign)]
+        n += 1
+    return terms
+
+
+def crank_geq_terms(j: int, order: int) -> list[tuple[int, int]]:
+    # sum_{k>=0} q^((2k+1)(k+j)) (1 - q^(2k+j+1))
+    terms, k = [], 0
+    while (2 * k + 1) * (k + j) <= order:
+        e = (2 * k + 1) * (k + j)
+        terms += [(e, 1), (e + 2 * k + j + 1, -1)]
+        k += 1
+    return terms
+
+
+def frob_noj_top_terms(j: int, order: int) -> list[tuple[int, int]]:
+    # sum_{b>=0} (-1)^b q^(b(b+1)/2 + jb)
+    terms, b = [], 0
+    while b * (b + 1) // 2 + j * b <= order:
+        terms.append((b * (b + 1) // 2 + j * b, (-1) ** b))
+        b += 1
+    return terms
+
+
+ROUTE_ORDERS = (*range(41), 400)
+
+
+class TestPentagonalDivisionRoutes:
+    @pytest.mark.parametrize("m", range(-3, 13))
+    def test_crank_m(self, m):
+        for order in ROUTE_ORDERS:
+            expected = quotient_by_poch(crank_m_terms(m, order), order)
+            assert gf(GfKind.crank_m(m), order) == expected, order
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_crank_geq_j(self, j):
+        for order in ROUTE_ORDERS:
+            expected = quotient_by_poch(crank_geq_terms(j, order), order)
+            assert gf(GfKind.crank_geq_j(j), order) == expected, order
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_frob_noj_top(self, j):
+        for order in ROUTE_ORDERS:
+            expected = quotient_by_poch(frob_noj_top_terms(j, order), order)
+            assert gf(GfKind.frob_noj_top(j), order) == expected, order
+
+    def test_distinct_matches_partitions_counts(self):
+        counts = tuple(distinct_parts_count(n) for n in range(601))
+        for order in (*range(41), 400, 600):
+            assert gf(GfKind.distinct(), order).coeffs == counts[: order + 1], order
+
+    def test_crank0_alt_matches_one_minus_q_times_frob_no0(self):
+        # Every order 0..60 crosses each boundary of the shortened loop:
+        # the last divided k (3k <= order) and the running-sum tail.
+        for order in (*range(61), 400):
+            expected = TruncatedSeries((1, -1), order) * gf(GfKind.frob_no0(), order)
+            assert gf(GfKind.crank0_alt(), order) == expected, order
