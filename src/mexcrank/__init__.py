@@ -30,6 +30,7 @@ from .partitions import (
     FrobeniusSymbol,
     MalformedSymbolError,
     Partition,
+    PartitionStatistics,
     UndefinedMexError,
     conjugate,
     crank,
@@ -41,6 +42,7 @@ from .partitions import (
     mex_above,
     partition_count,
     partition_count_table,
+    partition_statistics,
     to_frobenius,
 )
 from .qseries import (
@@ -77,6 +79,7 @@ __all__ = [
     "MalformedSymbolError",
     "NonUnitError",
     "Partition",
+    "PartitionStatistics",
     "TriangularIndex",
     "TruncatedSeries",
     "UndefinedMexError",
@@ -105,6 +108,7 @@ __all__ = [
     "oracle_count",
     "partition_count",
     "partition_count_table",
+    "partition_statistics",
     "perturbed",
     "pochhammer_finite",
     "registry",

@@ -12,7 +12,8 @@ cross-checks in :mod:`mexcrank.verify` meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 
 class UndefinedMexError(ValueError):
@@ -108,17 +109,144 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    for parts in _part_tuples(n, n):
-        yield Partition(parts)
+    for x, m, _ in _zs1(n):
+        yield Partition(tuple(x[:m]))
 
 
-def _part_tuples(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
+def _zs1(n: int) -> Iterator[tuple[list[int], int, int]]:
+    """Algorithm ZS1 (Zoghbi and Stojmenovic, 1998): the partitions of n >= 0
+    in reverse lexicographic order, each in O(1) amortized steps.
+
+    Yields ``(x, m, h)``: the parts are ``x[:m]``, nonincreasing, and
+    ``x[h]`` is the last part above 1, so there are ``m - 1 - h`` ones
+    (h = -1 when every part is 1).  ``x`` is one buffer rewritten in place
+    between yields; a caller that keeps parts must copy them.
+    """
+    if n == 0:
+        yield [], 0, -1
         return
-    for first in range(min(remaining, max_part), 0, -1):
-        for rest in _part_tuples(remaining - first, first):
-            yield (first,) + rest
+    x = [1] * n
+    x[0] = n
+    m = 1
+    h = 0 if n > 1 else -1
+    yield x, m, h
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # Lower x[h] by one and spread the freed unit plus the trailing
+            # ones over copies of the new value, with any remainder last.
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield x, m, h
+
+
+@dataclass(frozen=True, slots=True)
+class PartitionStatistics:
+    """Counts over all partitions of one n, as :func:`partition_statistics`
+    gathers them.  Each mapping holds only its nonzero entries and is
+    read-only.
+
+    ``crank`` and ``mex`` map a statistic value to the number of partitions
+    having it.  ``odd_gap_above`` maps j to the number of partitions in which
+    j is 0 or a part and ``mex_above(lam, j) - j`` is odd.  ``top_entry``
+    maps t to the number of Frobenius symbols with t in the top row, and
+    ``zero_free`` counts the symbols with no 0 in either row.
+    """
+
+    count: int
+    crank: Mapping[int, int]
+    mex: Mapping[int, int]
+    odd_gap_above: Mapping[int, int]
+    top_entry: Mapping[int, int]
+    zero_free: int
+
+
+def partition_statistics(n: int) -> PartitionStatistics:
+    """Crank, mex, mex-gap and Frobenius counts over the partitions of n.
+
+    One ZS1 pass reads every statistic straight from the parts, with no
+    :class:`Partition` or :class:`FrobeniusSymbol` built, so the time is
+    O(p(n) * sqrt(n)) and the memory O(n).  The counts agree with
+    :func:`crank`, :func:`mex`, :func:`mex_above` and :func:`to_frobenius`
+    applied to each partition of :func:`enumerate_partitions`.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    cranks = [0] * (2 * n + 1)  # index crank + n
+    mexes = [0] * (n + 2)
+    odd_gap = [0] * (n + 1)
+    top = [0] * (n + 1)
+    count = zero_free = 0
+    for x, m, h in _zs1(n):
+        count += 1
+        # Crank: the largest part when there are no ones, else the number
+        # of parts above the number of ones, minus the ones.
+        ones = m - 1 - h
+        if ones == 0:
+            cranks[(x[0] if m else 0) + n] += 1
+        else:
+            larger = 0
+            while larger <= h and x[larger] > ones:
+                larger += 1
+            cranks[larger - ones + n] += 1
+
+        # Part values, with 0 counted as a part, fall into maximal runs of
+        # consecutive integers a..b.  Above each v of a run the least
+        # non-part is b + 1, an odd gap exactly when v has the parity of b.
+        # The run from 0 ends at mex - 1.
+        a = 0
+        b = 1 if ones else 0
+        mex_value = 0
+        for i in range(h, -1, -1):
+            v = x[i]
+            if v == b + 1:
+                b = v
+            elif v > b:
+                for w in range(b, a - 1, -2):
+                    odd_gap[w] += 1
+                if not a:
+                    mex_value = b + 1
+                a = b = v
+        for w in range(b, a - 1, -2):
+            odd_gap[w] += 1
+        mexes[mex_value or b + 1] += 1
+
+        # Durfee side d; top row entries are x[i] - i - 1 for i < d.  A 0
+        # ends the top row when x[d-1] == d and the bottom row unless
+        # exactly x[d] == d follows (x[d] <= d always).
+        d = 0
+        while d < m and x[d] > d:
+            top[x[d] - d - 1] += 1
+            d += 1
+        if not d or (x[d - 1] > d and d < m and x[d] == d):
+            zero_free += 1
+
+    def nonzero(counts: list[int], offset: int = 0) -> Mapping[int, int]:
+        return MappingProxyType({i - offset: c for i, c in enumerate(counts) if c})
+
+    return PartitionStatistics(
+        count=count,
+        crank=nonzero(cranks, n),
+        mex=nonzero(mexes),
+        odd_gap_above=nonzero(odd_gap),
+        top_entry=nonzero(top),
+        zero_free=zero_free,
+    )
 
 
 # Partition numbers by Euler's pentagonal recurrence:
@@ -279,16 +407,20 @@ def to_frobenius(partition: Partition) -> FrobeniusSymbol:
     """Frobenius symbol of a partition.
 
     With Durfee square side d, row i of the top is (part i) - i and of the
-    bottom is (conjugate part i) - i, for i = 1..d.
+    bottom is (conjugate part i) - i, for i = 1..d.  Conjugate part i is the
+    number of parts >= i; only the first d are counted, so the cost follows
+    the number of parts, not the largest part.
     """
-    d = durfee_size(partition)
-    if d == 0:
-        return FrobeniusSymbol()
     parts = partition.parts
-    conj = conjugate(partition).parts
+    d = durfee_size(partition)
     top = tuple(parts[i] - i - 1 for i in range(d))
-    bottom = tuple(conj[i] - i - 1 for i in range(d))
-    return FrobeniusSymbol(top, bottom)
+    bottom = []
+    count = len(parts)
+    for i in range(d):
+        while parts[count - 1] <= i:
+            count -= 1
+        bottom.append(count - i - 1)
+    return FrobeniusSymbol(top, tuple(bottom))
 
 
 def from_frobenius(symbol: FrobeniusSymbol) -> Partition:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -300,6 +301,26 @@ class TestVerify:
         assert payload["reports"][0]["first_counterexample"]["params"] == {"k": 5}
         assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert "FAIL" in err
+
+
+class TestGoldenOutput:
+    # sha256 of cold `verify --format json|csv` stdout at the default ranges,
+    # recorded from the list-based enumeration oracle.  Any change to a
+    # report byte must show up here.
+    DIGESTS = {
+        "json": "7b205d482a4bc740d3cbcae9a8a11f4a711a6edf8f89405e64026dc02e25771d",
+        "csv": "3c7297ed027e00306663b07b4d37165a7a902716db80082bf1bd05271bcfe3c2",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DIGESTS))
+    def test_default_verify_stdout_digest(self, fmt):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop(cli.ENV_BUDGET, None)
+        result = subprocess.run(
+            [sys.executable, "-m", "mexcrank", "verify", "--format", fmt],
+            capture_output=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout).hexdigest() == self.DIGESTS[fmt]
 
 
 class TestEntryPoints:

@@ -21,8 +21,21 @@ from mexcrank.partitions import (
     mex_above,
     partition_count,
     partition_count_table,
+    partition_statistics,
     to_frobenius,
 )
+
+def recursive_partitions(remaining, max_part=None):
+    """Reference generator: parts tuples in reverse lexicographic order."""
+    if max_part is None:
+        max_part = remaining
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, max_part), 0, -1):
+        for rest in recursive_partitions(remaining - first, first):
+            yield (first,) + rest
+
 
 P_HEAD = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 Q_HEAD = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
@@ -83,6 +96,10 @@ class TestEnumeration:
             seen = [lam.parts for lam in enumerate_partitions(n)]
             assert seen == sorted(seen, reverse=True)
             assert len(seen) == len(set(seen))
+
+    def test_order_matches_recursive_reference(self):
+        for n in range(26):
+            assert [lam.parts for lam in enumerate_partitions(n)] == list(recursive_partitions(n))
 
     def test_counts_match_recurrence(self):
         for n in range(21):
@@ -223,6 +240,12 @@ class TestFrobenius:
             symbols = [to_frobenius(lam) for lam in enumerate_partitions(n)]
             assert len(set(symbols)) == len(symbols)
 
+    def test_cost_follows_length_not_largest_part(self):
+        # A full conjugate of (10**9,) would hold 10**9 parts.
+        assert to_frobenius(Partition((10**9,))) == FrobeniusSymbol((10**9 - 1,), (0,))
+        assert to_frobenius(Partition((10**9, 10**9 - 7))) == FrobeniusSymbol(
+            (10**9 - 1, 10**9 - 9), (1, 0))
+
     def test_conjugate_swaps_rows(self):
         for lam in enumerate_partitions(10):
             symbol = to_frobenius(lam)
@@ -237,3 +260,39 @@ class TestFrobenius:
             FrobeniusSymbol((1, 1), (2, 0))
         with pytest.raises(MalformedSymbolError):
             FrobeniusSymbol((2, 0), (0, -1))
+
+
+class TestPartitionStatistics:
+    def test_fields_match_the_definitions(self):
+        for n in range(26):
+            stats = partition_statistics(n)
+            lams = list(enumerate_partitions(n))
+            symbols = [to_frobenius(lam) for lam in lams]
+            assert stats.count == len(lams)
+            assert stats.crank == Counter(crank(lam) for lam in lams)
+            assert stats.mex == Counter(mex(lam) for lam in lams)
+            odd_gap = Counter(
+                j
+                for lam in lams
+                for j in {0, *lam.parts}
+                if (mex_above(lam, j) - j) % 2
+            )
+            assert stats.odd_gap_above == odd_gap
+            assert stats.top_entry == Counter(t for symbol in symbols for t in symbol.top)
+            assert stats.zero_free == sum(
+                1 for symbol in symbols if 0 not in symbol.top and 0 not in symbol.bottom)
+
+    def test_small_examples(self):
+        stats = partition_statistics(4)
+        assert stats.crank == {4: 1, 2: 1, 0: 1, -2: 1, -4: 1}
+        assert stats.mex == {1: 2, 2: 2, 3: 1}
+        assert partition_statistics(0).crank == {0: 1}
+        assert partition_statistics(1).crank == {-1: 1}
+
+    def test_mappings_are_read_only(self):
+        with pytest.raises(TypeError):
+            partition_statistics(5).crank[0] = 7
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            partition_statistics(-1)

@@ -1,4 +1,5 @@
-"""Property tests for series arithmetic; skipped when hypothesis is absent."""
+"""Property tests for partitions and series arithmetic; skipped when hypothesis
+is absent."""
 
 from __future__ import annotations
 
@@ -7,11 +8,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from mexcrank.partitions import (  # noqa: E402
+    Partition,
+    conjugate,
+    durfee_size,
+    from_frobenius,
+    to_frobenius,
+)
 from mexcrank.qseries import TruncatedSeries  # noqa: E402
 
 given, settings = hypothesis.given, hypothesis.settings
 
 COEFF = st.integers(-50, 50)
+PARTITIONS = st.lists(st.integers(1, 40), max_size=40).map(lambda parts: Partition.of(*parts))
 
 
 def series_tuples(count: int, *, unit: bool = False):
@@ -45,3 +54,21 @@ def test_inverse_of_product(pair):
     a, b = pair
     assert (a * b).invert() == a.invert() * b.invert()
     assert a * a.invert() == TruncatedSeries((1,), a.order)
+
+
+@settings(deadline=None)
+@given(PARTITIONS)
+def test_frobenius_round_trip(lam):
+    assert from_frobenius(to_frobenius(lam)) == lam
+
+
+@settings(deadline=None)
+@given(PARTITIONS)
+def test_conjugate_is_an_involution(lam):
+    assert conjugate(conjugate(lam)) == lam
+
+
+@settings(deadline=None)
+@given(PARTITIONS)
+def test_durfee_size_is_frobenius_length(lam):
+    assert durfee_size(lam) == to_frobenius(lam).size
