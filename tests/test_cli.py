@@ -312,15 +312,28 @@ class TestGoldenOutput:
         "csv": "3c7297ed027e00306663b07b4d37165a7a902716db80082bf1bd05271bcfe3c2",
     }
 
-    @pytest.mark.parametrize("fmt", sorted(DIGESTS))
-    def test_default_verify_stdout_digest(self, fmt):
+    # The same with every range override at once, so that the n_max, order
+    # and budget routing of each check's grid is pinned too.
+    OVERRIDES = ("--n-max", "14", "--budget", "10", "--order", "60")
+    OVERRIDE_DIGEST = "10bc827fa990f299cb69ea9f8f9ed53558189191c19ac3b80e3d3e4680aa86da"
+
+    @staticmethod
+    def verify_stdout_digest(*args):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop(cli.ENV_BUDGET, None)
         result = subprocess.run(
-            [sys.executable, "-m", "mexcrank", "verify", "--format", fmt],
+            [sys.executable, "-m", "mexcrank", "verify", *args],
             capture_output=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
-        assert hashlib.sha256(result.stdout).hexdigest() == self.DIGESTS[fmt]
+        return hashlib.sha256(result.stdout).hexdigest()
+
+    @pytest.mark.parametrize("fmt", sorted(DIGESTS))
+    def test_default_verify_stdout_digest(self, fmt):
+        assert self.verify_stdout_digest("--format", fmt) == self.DIGESTS[fmt]
+
+    def test_override_verify_stdout_digest(self):
+        digest = self.verify_stdout_digest("--format", "json", *self.OVERRIDES)
+        assert digest == self.OVERRIDE_DIGEST
 
 
 class TestEntryPoints:
