@@ -58,6 +58,7 @@ from .verify import (
     BudgetExceededError,
     CheckRecord,
     IdentityCheck,
+    Leg,
     VerificationReport,
     checks_by_id,
     oracle_count,
@@ -76,6 +77,7 @@ __all__ = [
     "GfKind",
     "IdentityCheck",
     "InvalidParamsError",
+    "Leg",
     "MalformedSymbolError",
     "NonUnitError",
     "Partition",

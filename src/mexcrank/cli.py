@@ -21,17 +21,15 @@ ENV_BUDGET = "MEXCRANK_BUDGET"
 
 _TABLE_FNS = ("p", "q", "M", "crank_geq", "x_mex", "o", "e", "o1", "o3")
 
-_SERIES_KINDS = {
-    "euler_inv": lambda args: qseries.GfKind.euler_inv(),
-    "poch_q_inf": lambda args: qseries.GfKind.poch_q_inf(),
-    "distinct": lambda args: qseries.GfKind.distinct(),
-    "crank_m": lambda args: qseries.GfKind.crank_m(args.m),
-    "crank_geq": lambda args: qseries.GfKind.crank_geq_j(args.j),
-    "frob_no0": lambda args: qseries.GfKind.frob_no0(),
-    "crank0_alt": lambda args: qseries.GfKind.crank0_alt(),
-    "frob_noj_top": lambda args: qseries.GfKind.frob_noj_top(args.j),
-    "durfee_rect": lambda args: qseries.GfKind.durfee_rect_b(args.b),
-}
+# --kind spellings that differ from their generating-function tag; every
+# other tag in qseries.GF_KINDS is its own spelling.
+_KIND_SPELLINGS = {"crank_geq_j": "crank_geq", "durfee_rect_b": "durfee_rect"}
+_SERIES_TAGS = {_KIND_SPELLINGS.get(tag, tag): tag for tag in qseries.GF_KINDS}
+
+
+def _kinds_taking(param: str) -> str:
+    return " / ".join(kind for kind, tag in _SERIES_TAGS.items()
+                      if qseries.GF_KINDS[tag][0] == param)
 
 
 def _fail(message: str) -> int:
@@ -79,12 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(table)
 
     series = sub.add_parser("series", help="expand a named generating function")
-    series.add_argument("--kind", required=True, choices=sorted(_SERIES_KINDS),
+    series.add_argument("--kind", required=True, choices=sorted(_SERIES_TAGS),
                         help="which generating function")
-    series.add_argument("--m", type=int, default=0, help="crank parameter for crank_m")
+    series.add_argument("--m", type=int, default=0,
+                        help=f"crank parameter for {_kinds_taking('m')}")
     series.add_argument("--j", type=int, default=0,
-                        help="parameter for crank_geq / frob_noj_top")
-    series.add_argument("--b", type=int, default=0, help="rectangle offset for durfee_rect")
+                        help=f"parameter for {_kinds_taking('j')}")
+    series.add_argument("--b", type=int, default=0,
+                        help=f"rectangle offset for {_kinds_taking('b')}")
     series.add_argument("--order", type=int, default=200,
                         help="truncation order (default: 200)")
     _add_output_flags(series)
@@ -105,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     vrf.add_argument("--budget", type=int, default=None,
                      help=f"enumeration cap (default: {verify.DEFAULT_BUDGET}, "
                           f"or the {ENV_BUDGET} environment variable)")
-    vrf.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility and ignored; must be positive "
-                          "(default: 1; to be removed in the next release)")
     _add_output_flags(vrf)
 
     return parser
@@ -141,8 +138,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         return _fail(f"--order must be nonnegative, got {args.order}")
+    tag = _SERIES_TAGS[args.kind]
+    param = qseries.GF_KINDS[tag][0]
     try:
-        kind = _SERIES_KINDS[args.kind](args)
+        kind = qseries.GfKind(tag, None if param is None else getattr(args, param))
     except qseries.InvalidParamsError as exc:
         return _fail(str(exc))
     series = qseries.gf(kind, args.order)
@@ -194,8 +193,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         budget = _resolve_budget(args)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.workers < 1:
-        return _fail(f"--workers must be positive, got {args.workers}")
     if args.n_max is not None and args.n_max < 0:
         return _fail(f"--n-max must be nonnegative, got {args.n_max}")
     if args.order is not None and args.order < 0:

@@ -19,7 +19,7 @@ truncation is finite and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class NonUnitError(ValueError):
@@ -205,25 +205,6 @@ def _div_one_minus_qk_squared(coeffs: list[int], k: int) -> None:
 
 # --- named generating functions -------------------------------------------
 
-EULER_INV = "euler_inv"
-POCH_Q_INF = "poch_q_inf"
-DISTINCT = "distinct"
-CRANK_M = "crank_m"
-CRANK_GEQ_J = "crank_geq_j"
-FROB_NO0 = "frob_no0"
-CRANK0_ALT = "crank0_alt"
-FROB_NOJ_TOP = "frob_noj_top"
-DURFEE_RECT_B = "durfee_rect_b"
-
-_PARAMLESS_TAGS = frozenset({EULER_INV, POCH_Q_INF, DISTINCT, FROB_NO0, CRANK0_ALT})
-_PARAM_TAGS = {
-    CRANK_M: "m",       # any integer
-    CRANK_GEQ_J: "j",   # j >= 0
-    FROB_NOJ_TOP: "j",  # j >= 0
-    DURFEE_RECT_B: "b",  # b >= 0
-}
-
-
 @dataclass(frozen=True, slots=True)
 class GfKind:
     """A named generating function plus its integer parameter, if any.
@@ -238,72 +219,70 @@ class GfKind:
     param: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tag in _PARAMLESS_TAGS:
+        if self.tag not in GF_KINDS:
+            raise InvalidParamsError(f"unknown generating-function tag {self.tag!r}")
+        name, least, _ = GF_KINDS[self.tag]
+        if name is None:
             if self.param is not None:
                 raise InvalidParamsError(f"{self.tag} takes no parameter")
-        elif self.tag in _PARAM_TAGS:
-            if self.param is None:
-                raise InvalidParamsError(f"{self.tag} requires parameter {_PARAM_TAGS[self.tag]}")
-            if self.tag != CRANK_M and self.param < 0:
-                raise InvalidParamsError(
-                    f"{self.tag} requires {_PARAM_TAGS[self.tag]} >= 0, got {self.param}"
-                )
-        else:
-            raise InvalidParamsError(f"unknown generating-function tag {self.tag!r}")
+        elif self.param is None:
+            raise InvalidParamsError(f"{self.tag} requires parameter {name}")
+        elif least is not None and self.param < least:
+            raise InvalidParamsError(f"{self.tag} requires {name} >= {least}, got {self.param}")
 
     @classmethod
     def euler_inv(cls) -> GfKind:
         """1/(q;q)_inf: coefficients are the partition numbers p(n)."""
-        return cls(EULER_INV)
+        return cls("euler_inv")
 
     @classmethod
     def poch_q_inf(cls) -> GfKind:
         """(q;q)_inf via the pentagonal number theorem (sparse +-1 coefficients)."""
-        return cls(POCH_Q_INF)
+        return cls("poch_q_inf")
 
     @classmethod
     def distinct(cls) -> GfKind:
         """Distinct-part partition numbers q(n): the product of (1+q^k),
         built as (q^2;q^2)_inf / (q;q)_inf by pentagonal division."""
-        return cls(DISTINCT)
+        return cls("distinct")
 
     @classmethod
     def crank_m(cls, m: int) -> GfKind:
         """Partitions of n with crank m (generating-function counts M(m,n))."""
-        return cls(CRANK_M, m)
+        return cls("crank_m", m)
 
     @classmethod
     def crank_geq_j(cls, j: int) -> GfKind:
         """Partitions of n with crank >= j, for j >= 0."""
-        return cls(CRANK_GEQ_J, j)
+        return cls("crank_geq_j", j)
 
     @classmethod
     def frob_no0(cls) -> GfKind:
         """Partitions whose Frobenius symbol contains no 0 in either row."""
-        return cls(FROB_NO0)
+        return cls("frob_no0")
 
     @classmethod
     def crank0_alt(cls) -> GfKind:
         """Crank-zero counts via (q;q)_inf * sum_k q^(2k)/(q;q)_k^2."""
-        return cls(CRANK0_ALT)
+        return cls("crank0_alt")
 
     @classmethod
     def frob_noj_top(cls, j: int) -> GfKind:
         """Partitions whose Frobenius symbol has no j in its top row."""
-        return cls(FROB_NOJ_TOP, j)
+        return cls("frob_noj_top", j)
 
     @classmethod
     def durfee_rect_b(cls, b: int) -> GfKind:
         """All partitions, decomposed by Durfee rectangles of shape s x (s+b)."""
-        return cls(DURFEE_RECT_B, b)
+        return cls("durfee_rect_b", b)
 
 
 def gf(kind: GfKind, order: int) -> TruncatedSeries:
     """Build the named generating function, exactly, to the given order."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    builder = _BUILDERS[kind.tag]
-    if kind.tag in _PARAMLESS_TAGS:
+    name, _, builder = GF_KINDS[kind.tag]
+    if name is None:
         return builder(order)
     return builder(kind.param, order)
 
@@ -468,14 +447,18 @@ def _gf_durfee_rect_b(b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-_BUILDERS = {
-    EULER_INV: _gf_euler_inv,
-    POCH_Q_INF: _gf_poch_q_inf,
-    DISTINCT: _gf_distinct,
-    CRANK_M: _gf_crank_m,
-    CRANK_GEQ_J: _gf_crank_geq_j,
-    FROB_NO0: _gf_frob_no0,
-    CRANK0_ALT: _gf_crank0_alt,
-    FROB_NOJ_TOP: _gf_frob_noj_top,
-    DURFEE_RECT_B: _gf_durfee_rect_b,
+# Every named generating function, by tag: the name of its integer
+# parameter (None for none), the least value that parameter may take (None
+# for no bound), and its builder, called as builder(order) or
+# builder(param, order).
+GF_KINDS: dict[str, tuple[str | None, int | None, Callable[..., TruncatedSeries]]] = {
+    "euler_inv": (None, None, _gf_euler_inv),
+    "poch_q_inf": (None, None, _gf_poch_q_inf),
+    "distinct": (None, None, _gf_distinct),
+    "crank_m": ("m", None, _gf_crank_m),
+    "crank_geq_j": ("j", 0, _gf_crank_geq_j),
+    "frob_no0": (None, None, _gf_frob_no0),
+    "crank0_alt": (None, None, _gf_crank0_alt),
+    "frob_noj_top": ("j", 0, _gf_frob_noj_top),
+    "durfee_rect_b": ("b", 0, _gf_durfee_rect_b),
 }

@@ -3,7 +3,11 @@
 The harness plays two independent computations against each other at every
 point of a parameter grid and demands exact integer equality.  One side is
 usually an exhaustive enumeration over partitions (the oracle), the other a
-closed form or a series coefficient.  Module discipline keeps the sides
+closed form or a series coefficient.  A check is a tuple of legs, each a
+grid with its own pair of computations; a check with several legs (say,
+enumeration against the formula for small n, then series against the
+formula for large n) stamps each leg's name into its points as ``"side"``,
+and its records follow the legs in order.  Module discipline keeps the sides
 honest: oracle code in this file touches only :mod:`mexcrank.partitions`;
 the formula modules (:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are
 imported inside :func:`registry` so that neither side can lean on the other.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .partitions import (
     Partition,
@@ -118,23 +122,47 @@ def frobenius_top_avoids_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET)
     return stats.count - stats.top_entry.get(j, 0)
 
 
+class Leg(NamedTuple):
+    """Two computations compared at each of their own grid points, in order.
+
+    ``lhs`` and ``rhs`` map one point to an integer each.  ``side`` names
+    the leg within its check, or is None for a check of one leg; the
+    registry stamps it into every point of the leg as ``"side"``, so each
+    record says which leg produced it.
+    """
+
+    side: str | None
+    grid: tuple[Params, ...]
+    lhs: Callable[[Params], int]
+    rhs: Callable[[Params], int]
+
+
+def _leg(side: str | None, points: Iterable[Params],
+         lhs: Callable[[Params], int], rhs: Callable[[Params], int]) -> Leg:
+    # Stamped while the grid is built, so no second set of points is held.
+    if side is not None:
+        points = ({"side": side, **point} for point in points)
+    return Leg(side, tuple(points), lhs, rhs)
+
+
 @dataclass(frozen=True, eq=False)
 class IdentityCheck:
     """A named claim: two independent computations that must agree exactly.
 
-    ``grid`` fixes the evaluation points and their order; ``lhs_fn`` and
-    ``rhs_fn`` map one grid point to an integer each.  The two callables must
-    come from disjoint code paths (enumeration vs formula, or two different
-    series constructions); the registry below upholds that split.
+    ``legs`` are evaluated in order; each fixes its grid points and the two
+    callables compared on them.  The two callables of a leg must come from
+    disjoint code paths (enumeration vs formula, or two different series
+    constructions); the registry below upholds that split.  ``grid`` is the
+    points of every leg, in evaluation order.
     """
 
     check_id: str
     statement: str
-    lhs_desc: str
-    rhs_desc: str
-    grid: tuple[Params, ...]
-    lhs_fn: Callable[[Params], int]
-    rhs_fn: Callable[[Params], int]
+    legs: tuple[Leg, ...]
+
+    @property
+    def grid(self) -> tuple[Params, ...]:
+        return tuple(point for leg in self.legs for point in leg.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,23 +222,17 @@ class VerificationReport:
         }
 
 
-def run_check(check: IdentityCheck, *, workers: int = 1) -> VerificationReport:
-    """Evaluate both sides at every grid point; exact equality everywhere.
-
-    Records come back in grid order.  ``workers`` is still accepted and
-    must be positive, but it is a no-op kept for one release: grid points
-    are always evaluated one after another in this thread, because the
-    shared p(n) cache in :mod:`mexcrank.partitions` is not thread-safe.
-    """
-    if not check.grid:
+def run_check(check: IdentityCheck) -> VerificationReport:
+    """Evaluate both sides at every grid point, leg by leg; exact equality
+    everywhere.  Records come back in grid order."""
+    if not any(leg.grid for leg in check.legs):
         raise ValueError(f"check {check.check_id} has an empty parameter grid")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     records = []
-    for point in check.grid:
-        lhs = check.lhs_fn(point)
-        rhs = check.rhs_fn(point)
-        records.append(CheckRecord(params=point, lhs=lhs, rhs=rhs, passed=lhs == rhs))
+    for leg in check.legs:
+        for point in leg.grid:
+            lhs = leg.lhs(point)
+            rhs = leg.rhs(point)
+            records.append(CheckRecord(params=point, lhs=lhs, rhs=rhs, passed=lhs == rhs))
     return VerificationReport(check.check_id, check.statement, tuple(records))
 
 
@@ -219,20 +241,19 @@ def perturbed(check: IdentityCheck, where: Params, delta: int = 1) -> IdentityCh
     matches every key in ``where``.  Harness self-test: the perturbed check
     must fail with a counterexample at exactly those points."""
 
-    def rhs_fn(point: Params) -> int:
-        value = check.rhs_fn(point)
-        if all(point.get(key) == expected for key, expected in where.items()):
-            return value + delta
-        return value
+    def shifted(rhs: Callable[[Params], int]) -> Callable[[Params], int]:
+        def rhs_fn(point: Params) -> int:
+            value = rhs(point)
+            if all(point.get(key) == expected for key, expected in where.items()):
+                return value + delta
+            return value
+
+        return rhs_fn
 
     return IdentityCheck(
         check_id=f"{check.check_id}:perturbed",
         statement=check.statement,
-        lhs_desc=check.lhs_desc,
-        rhs_desc=f"{check.rhs_desc} (shifted by {delta} at {dict(where)})",
-        grid=check.grid,
-        lhs_fn=check.lhs_fn,
-        rhs_fn=rhs_fn,
+        legs=tuple(leg._replace(rhs=shifted(leg.rhs)) for leg in check.legs),
     )
 
 
@@ -261,378 +282,192 @@ def registry(
     # oracle side import-independent of the closed forms it is checking.
     from . import counting, qseries
 
-    series_cache: dict[tuple[qseries.GfKind, int], qseries.TruncatedSeries] = {}
-
+    @lru_cache(maxsize=None)
     def gf(kind: qseries.GfKind, n: int) -> qseries.TruncatedSeries:
-        key = (kind, n)
-        if key not in series_cache:
-            series_cache[key] = qseries.gf(kind, n)
-        return series_cache[key]
+        return qseries.gf(kind, n)
 
     def span(default: int) -> int:
         return default if n_max is None else n_max
 
-    def series_span(default: int) -> int:
-        if order is not None:
-            return order
-        return default if n_max is None else n_max
-
-    checks: list[IdentityCheck] = []
-
-    # THM_JCRANK: odd mex-gap above j vs crank >= j.
     top = min(span(35), budget)
-    grid: list[Params] = [
-        {"side": "mex_oracle", "j": j, "n": n}
-        for j in range(11)
-        for n in range(top + 1)
-    ]
-    grid += [
-        {"side": "crank_oracle", "j": j, "n": n}
-        for j in range(11)
-        for n in range(2, top + 1)
-    ]
-    grid += [
-        {"side": side, "j": j, "n": 1}
-        for j in (0, 1)
-        for side in ("n1_series", "n1_oracle")
-    ]
+    series_top = order if order is not None else span(200)
+    o13_top, crank_top = span(400), span(300)
 
-    def jcrank_lhs(p: Params) -> int:
-        if p["side"] == "mex_oracle":
-            return mex_above_odd_oracle(p["n"], p["j"], budget=budget)
-        if p["side"] == "crank_oracle" or p["side"] == "n1_oracle":
-            return crank_geq_oracle(p["n"], p["j"], budget=budget)
-        return counting.crank_geq_count(p["j"], 1)
-
-    def jcrank_rhs(p: Params) -> int:
-        if p["side"] == "n1_series":
-            return _N1_CRANK_GEQ[p["j"]][0]
-        if p["side"] == "n1_oracle":
-            return _N1_CRANK_GEQ[p["j"]][1]
+    def crank_geq_formula(p: Params) -> int:
         return counting.crank_geq_count(p["j"], p["n"])
 
-    checks.append(IdentityCheck(
-        check_id="THM_JCRANK",
-        statement=(
+    def crank_geq_enumerated(p: Params) -> int:
+        return crank_geq_oracle(p["n"], p["j"], budget=budget)
+
+    def crank_formula(p: Params) -> int:
+        return counting.crank_count(p["m"], p["n"])
+
+    def crank_enumerated(p: Params) -> int:
+        return crank_value_oracle(p["n"], p["m"], budget=budget)
+
+    def crank_zero_formula(p: Params) -> int:
+        return counting.crank_count(0, p["n"])
+
+    def frob_no0_series(p: Params) -> int:
+        return gf(qseries.GfKind.frob_no0(), series_top)[p["n"]]
+
+    def frob_no0_step(p: Params) -> int:
+        # Coefficient n of (1 - q) times the zero-free Frobenius series.
+        series, n = gf(qseries.GfKind.frob_no0(), series_top), p["n"]
+        return series[n] - (series[n - 1] if n else 0)
+
+    def pinned_n1(side: str, param: str, values: Mapping[int, tuple[int, int]],
+                  formula: Callable[[Params], int],
+                  oracle: Callable[[Params], int]) -> tuple[Leg, ...]:
+        # Per parameter value, the formula then the enumeration at n = 1,
+        # each against its documented constant.
+        return tuple(
+            _leg(leg_side, ({param: value, "n": 1},), lhs, lambda p, pinned=pinned: pinned)
+            for value, pair in values.items()
+            for leg_side, lhs, pinned in zip((side, "n1_oracle"), (formula, oracle), pair)
+        )
+
+    def o13_rhs(p: Params) -> int:
+        return distinct_parts_count(p["n"] // 2) if p["n"] % 2 == 0 else 0
+
+    return (
+        IdentityCheck("THM_JCRANK", (
             "For j = 0 or j a part, partitions of n whose least non-part above j "
             "exceeds j by an odd amount are equinumerous with partitions of n "
             "having crank at least j; the enumeration crank agrees from n = 2 on, "
             "with the n = 1 values pinned explicitly."
-        ),
-        lhs_desc="enumeration: odd mex-gap count / crank histogram",
-        rhs_desc="alternating sum of p(n - k(k-1)/2 - kj)",
-        grid=tuple(grid),
-        lhs_fn=jcrank_lhs,
-        rhs_fn=jcrank_rhs,
-    ))
-
-    # COR_CRANKRECUR: crank counts M(m,n) vs enumeration and vs series.
-    grid = [
-        {"side": "oracle", "m": m, "n": n}
-        for m in range(-12, 13)
-        for n in range(2, top + 1)
-    ]
-    series_top = series_span(200)
-    grid += [
-        {"side": "series", "m": m, "n": n}
-        for m in range(13)
-        for n in range(series_top + 1)
-    ]
-    grid += [
-        {"side": side, "m": m, "n": 1}
-        for m in (-1, 0, 1)
-        for side in ("n1_formula", "n1_oracle")
-    ]
-
-    def crankrecur_lhs(p: Params) -> int:
-        if p["side"] == "oracle" or p["side"] == "n1_oracle":
-            return crank_value_oracle(p["n"], p["m"], budget=budget)
-        if p["side"] == "series":
-            return gf(qseries.GfKind.crank_m(p["m"]), series_top)[p["n"]]
-        return counting.crank_count(p["m"], 1)
-
-    def crankrecur_rhs(p: Params) -> int:
-        if p["side"] == "n1_formula":
-            return _N1_CRANK_M[p["m"]][0]
-        if p["side"] == "n1_oracle":
-            return _N1_CRANK_M[p["m"]][1]
-        return counting.crank_count(p["m"], p["n"])
-
-    checks.append(IdentityCheck(
-        check_id="COR_CRANKRECUR",
-        statement=(
+        ), (
+            _leg("mex_oracle", ({"j": j, "n": n} for j in range(11) for n in range(top + 1)),
+                 lambda p: mex_above_odd_oracle(p["n"], p["j"], budget=budget),
+                 crank_geq_formula),
+            _leg("crank_oracle", ({"j": j, "n": n} for j in range(11) for n in range(2, top + 1)),
+                 crank_geq_enumerated, crank_geq_formula),
+            *pinned_n1("n1_series", "j", _N1_CRANK_GEQ, crank_geq_formula, crank_geq_enumerated),
+        )),
+        IdentityCheck("COR_CRANKRECUR", (
             "The alternating sum over k of p(n - k(k+2|m|-1)/2) - p(n - k(k+2|m|+1)/2) "
             "counts partitions of n with crank m, matching enumeration for n >= 2 and "
             "the crank series coefficients everywhere, with the n = 1 values pinned."
-        ),
-        lhs_desc="enumeration crank histogram / crank series coefficient",
-        rhs_desc="alternating p-difference sum M(m,n)",
-        grid=tuple(grid),
-        lhs_fn=crankrecur_lhs,
-        rhs_fn=crankrecur_rhs,
-    ))
-
-    # PROP_MEXFORM: mex counts vs the triangular-number difference.
-    grid = [
-        {"m": m, "n": n}
-        for m in range(1, 11)
-        for n in range(top + 1)
-    ]
-    checks.append(IdentityCheck(
-        check_id="PROP_MEXFORM",
-        statement="Partitions of n with mex exactly m number p(n - t(m-1)) - p(n - t(m)).",
-        lhs_desc="enumeration mex histogram",
-        rhs_desc="p-difference at consecutive triangular offsets",
-        grid=tuple(grid),
-        lhs_fn=lambda p: mex_value_oracle(p["n"], p["m"], budget=budget),
-        rhs_fn=lambda p: counting.mex_count(p["m"], p["n"]),
-    ))
-
-    # COR_0CRANK: the +-2 triangular expansion of the crank-zero count.
-    zero_top = span(300)
-    grid = [{"side": "expansion", "n": n} for n in range(zero_top + 1)]
-    grid += [{"side": "documented", "n": n} for n in range(len(_CRANK0_HEAD))]
-    grid += [{"side": "oracle", "n": n} for n in range(2, top + 1)]
-
-    def zerocrank_lhs(p: Params) -> int:
-        if p["side"] == "oracle":
-            return crank_value_oracle(p["n"], 0, budget=budget)
-        return counting.crank_zero_expansion(p["n"])
-
-    def zerocrank_rhs(p: Params) -> int:
-        if p["side"] == "documented":
-            return _CRANK0_HEAD[p["n"]]
-        return counting.crank_count(0, p["n"])
-
-    checks.append(IdentityCheck(
-        check_id="COR_0CRANK",
-        statement=(
+        ), (
+            _leg("oracle", ({"m": m, "n": n} for m in range(-12, 13) for n in range(2, top + 1)),
+                 crank_enumerated, crank_formula),
+            _leg("series", ({"m": m, "n": n} for m in range(13) for n in range(series_top + 1)),
+                 lambda p: gf(qseries.GfKind.crank_m(p["m"]), series_top)[p["n"]],
+                 crank_formula),
+            *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula, crank_enumerated),
+        )),
+        IdentityCheck("PROP_MEXFORM", (
+            "Partitions of n with mex exactly m number p(n - t(m-1)) - p(n - t(m))."
+        ), (
+            _leg(None, ({"m": m, "n": n} for m in range(1, 11) for n in range(top + 1)),
+                 lambda p: mex_value_oracle(p["n"], p["m"], budget=budget),
+                 lambda p: counting.mex_count(p["m"], p["n"])),
+        )),
+        IdentityCheck("COR_0CRANK", (
             "The crank-zero count equals p(n) + 2 sum_k (-1)^k p(n - t(k)), with "
             "head values 1, -1, 0, 1, 1, 1 and enumeration agreement from n = 2."
-        ),
-        lhs_desc="triangular expansion / enumeration crank histogram",
-        rhs_desc="M(0,n) via the alternating p-difference sum",
-        grid=tuple(grid),
-        lhs_fn=zerocrank_lhs,
-        rhs_fn=zerocrank_rhs,
-    ))
-
-    # PROP_NOF0: crank-zero counts as differences of zero-free Frobenius counts.
-    nof0_top = series_span(200)
-    frob_kind = qseries.GfKind.frob_no0()
-    grid = [{"side": "series", "n": n} for n in range(nof0_top + 1)]
-    grid += [{"side": "oracle", "n": n} for n in range(min(top, nof0_top) + 1)]
-
-    def nof0_lhs(p: Params) -> int:
-        if p["side"] == "oracle":
-            return frobenius_no0_oracle(p["n"], budget=budget)
-        series = gf(frob_kind, nof0_top)
-        n = p["n"]
-        return series[n] - (series[n - 1] if n else 0)
-
-    def nof0_rhs(p: Params) -> int:
-        if p["side"] == "oracle":
-            return gf(frob_kind, nof0_top)[p["n"]]
-        return counting.crank_count(0, p["n"])
-
-    checks.append(IdentityCheck(
-        check_id="PROP_NOF0",
-        statement=(
+        ), (
+            _leg("expansion", ({"n": n} for n in range(span(300) + 1)),
+                 lambda p: counting.crank_zero_expansion(p["n"]), crank_zero_formula),
+            _leg("documented", ({"n": n} for n in range(len(_CRANK0_HEAD))),
+                 lambda p: counting.crank_zero_expansion(p["n"]),
+                 lambda p: _CRANK0_HEAD[p["n"]]),
+            _leg("oracle", ({"n": n} for n in range(2, top + 1)),
+                 lambda p: crank_value_oracle(p["n"], 0, budget=budget), crank_zero_formula),
+        )),
+        IdentityCheck("PROP_NOF0", (
             "The crank-zero count M(0,n) equals F(n) - F(n-1), where F counts "
             "partitions whose Frobenius symbol avoids 0 in both rows; in "
             "particular M(0,1) = -1 = F(1) - F(0)."
-        ),
-        lhs_desc="zero-free Frobenius series difference / enumeration",
-        rhs_desc="M(0,n) formula / zero-free Frobenius series coefficient",
-        grid=tuple(grid),
-        lhs_fn=nof0_lhs,
-        rhs_fn=nof0_rhs,
-    ))
-
-    # THM_FROB_J: crank >= j vs top-row-avoiding Frobenius symbols of n - j.
-    frobj_top = series_span(200)
-    grid = [
-        {"side": "series", "j": j, "n": n}
-        for j in range(9)
-        for n in range(j, frobj_top + 1)
-    ]
-    grid += [
-        {"side": "oracle", "j": j, "w": w}
-        for j in range(9)
-        for w in range(min(top, frobj_top) + 1)
-    ]
-
-    def frobj_lhs(p: Params) -> int:
-        if p["side"] == "oracle":
-            return frobenius_top_avoids_oracle(p["w"], p["j"], budget=budget)
-        return gf(qseries.GfKind.frob_noj_top(p["j"]), frobj_top)[p["n"] - p["j"]]
-
-    def frobj_rhs(p: Params) -> int:
-        if p["side"] == "oracle":
-            return gf(qseries.GfKind.frob_noj_top(p["j"]), frobj_top)[p["w"]]
-        return counting.crank_geq_count(p["j"], p["n"])
-
-    checks.append(IdentityCheck(
-        check_id="THM_FROB_J",
-        statement=(
+        ), (
+            _leg("series", ({"n": n} for n in range(series_top + 1)),
+                 frob_no0_step, crank_zero_formula),
+            _leg("oracle", ({"n": n} for n in range(min(top, series_top) + 1)),
+                 lambda p: frobenius_no0_oracle(p["n"], budget=budget), frob_no0_series),
+        )),
+        IdentityCheck("THM_FROB_J", (
             "Partitions of n with crank at least j are equinumerous with "
             "partitions of n - j whose Frobenius symbol has no j in its top row."
-        ),
-        lhs_desc="top-row-avoiding Frobenius series / enumeration",
-        rhs_desc="crank >= j count / top-row-avoiding series coefficient",
-        grid=tuple(grid),
-        lhs_fn=frobj_lhs,
-        rhs_fn=frobj_rhs,
-    ))
-
-    # PROP_O13: mex residues 1 and 3 mod 4 differ by a distinct-parts count.
-    o13_top = span(400)
-    grid = [{"side": "formula", "n": n} for n in range(1, o13_top + 1)]
-    grid += [{"side": "oracle", "n": n} for n in range(1, min(top, o13_top) + 1)]
-
-    def o13_lhs(p: Params) -> int:
-        if p["side"] == "oracle":
-            n = p["n"]
-            return (
-                mex_residue_oracle(n, 1, 4, budget=budget)
-                - mex_residue_oracle(n, 3, 4, budget=budget)
-            )
-        return counting.mex_1mod4_count(p["n"]) - counting.mex_3mod4_count(p["n"])
-
-    checks.append(IdentityCheck(
-        check_id="PROP_O13",
-        statement=(
+        ), (
+            _leg("series",
+                 ({"j": j, "n": n} for j in range(9) for n in range(j, series_top + 1)),
+                 lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["n"] - p["j"]],
+                 crank_geq_formula),
+            _leg("oracle",
+                 ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
+                 lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=budget),
+                 lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["w"]]),
+        )),
+        IdentityCheck("PROP_O13", (
             "Among partitions of n, those with mex = 1 mod 4 outnumber those "
             "with mex = 3 mod 4 by q(n/2) for even n and 0 for odd n."
-        ),
-        lhs_desc="mex residue-class difference (formula / enumeration)",
-        rhs_desc="distinct-parts count of n/2, or 0 for odd n",
-        grid=tuple(grid),
-        lhs_fn=o13_lhs,
-        rhs_fn=lambda p: distinct_parts_count(p["n"] // 2) if p["n"] % 2 == 0 else 0,
-    ))
-
-    # EWELL_EVEN / EWELL_ODD: alternating triangular sums of p.
-    ewell_top = span(300)
-    checks.append(IdentityCheck(
-        check_id="EWELL_EVEN",
-        statement=(
+        ), (
+            _leg("formula", ({"n": n} for n in range(1, o13_top + 1)),
+                 lambda p: counting.mex_1mod4_count(p["n"]) - counting.mex_3mod4_count(p["n"]),
+                 o13_rhs),
+            _leg("oracle", ({"n": n} for n in range(1, min(top, o13_top) + 1)),
+                 lambda p: (mex_residue_oracle(p["n"], 1, 4, budget=budget)
+                            - mex_residue_oracle(p["n"], 3, 4, budget=budget)),
+                 o13_rhs),
+        )),
+        IdentityCheck("EWELL_EVEN", (
             "Ewell's identity at even arguments: sum_j (-1)^(t(j)) p(2k - t(j)) "
             "equals the distinct-parts count q(k)."
-        ),
-        lhs_desc="alternating triangular sum of p at 2k",
-        rhs_desc="distinct-parts count q(k)",
-        grid=tuple({"k": k} for k in range(ewell_top + 1)),
-        lhs_fn=lambda p: counting.ewell_even_sum(p["k"]),
-        rhs_fn=lambda p: distinct_parts_count(p["k"]),
-    ))
-    checks.append(IdentityCheck(
-        check_id="EWELL_ODD",
-        statement=(
+        ), (
+            _leg(None, ({"k": k} for k in range(span(300) + 1)),
+                 lambda p: counting.ewell_even_sum(p["k"]),
+                 lambda p: distinct_parts_count(p["k"])),
+        )),
+        IdentityCheck("EWELL_ODD", (
             "Ewell's identity at odd arguments: sum_j (-1)^(t(j)) p(2k + 1 - t(j)) "
             "vanishes for every k."
-        ),
-        lhs_desc="alternating triangular sum of p at 2k + 1",
-        rhs_desc="the constant 0",
-        grid=tuple({"k": k} for k in range(ewell_top + 1)),
-        lhs_fn=lambda p: counting.ewell_odd_sum(p["k"]),
-        rhs_fn=lambda p: 0,
-    ))
-
-    # THM_AN_PARITY: parity of the odd-mex count.
-    parity_top = span(2000)
-    checks.append(IdentityCheck(
-        check_id="THM_AN_PARITY",
-        statement=(
+        ), (
+            _leg(None, ({"k": k} for k in range(span(300) + 1)),
+                 lambda p: counting.ewell_odd_sum(p["k"]), lambda p: 0),
+        )),
+        IdentityCheck("THM_AN_PARITY", (
             "The odd-mex partition count o(n) is odd exactly when "
             "n = j(3j+1) or n = j(3j-1) (Andrews-Newman parity)."
-        ),
-        lhs_desc="o(n) mod 2 via the mex-count formula",
-        rhs_desc="integer root test for n = j(3j+-1)",
-        grid=tuple({"n": n} for n in range(1, parity_top + 1)),
-        lhs_fn=lambda p: counting.odd_mex_count(p["n"]) % 2,
-        rhs_fn=lambda p: 1 if counting.is_double_pentagonal(p["n"]) else 0,
-    ))
-
-    # INEQ_OE: odd mex strictly beats even mex past n = 2.
-    ineq_top = span(1000)
-    checks.append(IdentityCheck(
-        check_id="INEQ_OE",
-        statement=(
+        ), (
+            _leg(None, ({"n": n} for n in range(1, span(2000) + 1)),
+                 lambda p: counting.odd_mex_count(p["n"]) % 2,
+                 lambda p: 1 if counting.is_double_pentagonal(p["n"]) else 0),
+        )),
+        IdentityCheck("INEQ_OE", (
             "Odd-mex partitions strictly outnumber even-mex partitions of n "
             "for every n > 2 (Hopkins-Sellers inequality)."
-        ),
-        lhs_desc="1 if o(n) > e(n) else 0",
-        rhs_desc="the constant 1",
-        grid=tuple({"n": n} for n in range(3, ineq_top + 1)),
-        lhs_fn=lambda p: 1 if counting.odd_mex_count(p["n"]) > counting.even_mex_count(p["n"]) else 0,
-        rhs_fn=lambda p: 1,
-    ))
-
-    # SERIES_HEINE: the transformed zero-free Frobenius series.
-    heine_top = series_span(200)
-    heine_memo: list[qseries.TruncatedSeries] = []
-
-    def heine_lhs(p: Params) -> int:
-        if not heine_memo:
-            one_minus_q = qseries.TruncatedSeries((1, -1), heine_top)
-            heine_memo.append(one_minus_q * gf(qseries.GfKind.frob_no0(), heine_top))
-        return heine_memo[0][p["n"]]
-
-    checks.append(IdentityCheck(
-        check_id="SERIES_HEINE",
-        statement=(
+        ), (
+            _leg(None, ({"n": n} for n in range(3, span(1000) + 1)),
+                 lambda p: 1 if counting.odd_mex_count(p["n"]) > counting.even_mex_count(p["n"]) else 0,
+                 lambda p: 1),
+        )),
+        IdentityCheck("SERIES_HEINE", (
             "Heine transformation instance: (1 - q) times the zero-free "
             "Frobenius series equals the q-Pochhammer product times "
             "sum_k q^(2k) / (q;q)_k^2, coefficient by coefficient."
-        ),
-        lhs_desc="(1 - q) * zero-free Frobenius series",
-        rhs_desc="Pochhammer product form of the crank-zero series",
-        grid=tuple({"n": n} for n in range(heine_top + 1)),
-        lhs_fn=heine_lhs,
-        rhs_fn=lambda p: gf(qseries.GfKind.crank0_alt(), heine_top)[p["n"]],
-    ))
-
-    # DURFEE_RECT: every rectangle offset reproduces the partition series.
-    durfee_top = series_span(200)
-    checks.append(IdentityCheck(
-        check_id="DURFEE_RECT",
-        statement=(
+        ), (
+            _leg(None, ({"n": n} for n in range(series_top + 1)),
+                 frob_no0_step,
+                 lambda p: gf(qseries.GfKind.crank0_alt(), series_top)[p["n"]]),
+        )),
+        IdentityCheck("DURFEE_RECT", (
             "Classifying partitions by their largest s x (s+b) Durfee "
             "rectangle reproduces the partition generating function for "
             "every offset b."
-        ),
-        lhs_desc="Durfee-rectangle decomposition series",
-        rhs_desc="inverted q-Pochhammer product (partition series)",
-        grid=tuple(
-            {"b": b, "n": n}
-            for b in range(11)
-            for n in range(durfee_top + 1)
-        ),
-        lhs_fn=lambda p: gf(qseries.GfKind.durfee_rect_b(p["b"]), durfee_top)[p["n"]],
-        rhs_fn=lambda p: gf(qseries.GfKind.euler_inv(), durfee_top)[p["n"]],
-    ))
-
-    # CRANK_GF_CONSISTENCY: series coefficients vs the closed-form counts.
-    cons_top = span(300)
-    checks.append(IdentityCheck(
-        check_id="CRANK_GF_CONSISTENCY",
-        statement=(
+        ), (
+            _leg(None, ({"b": b, "n": n} for b in range(11) for n in range(series_top + 1)),
+                 lambda p: gf(qseries.GfKind.durfee_rect_b(p["b"]), series_top)[p["n"]],
+                 lambda p: gf(qseries.GfKind.euler_inv(), series_top)[p["n"]]),
+        )),
+        IdentityCheck("CRANK_GF_CONSISTENCY", (
             "Coefficients of the crank generating function at parameter m "
             "equal the closed-form crank counts M(m,n)."
-        ),
-        lhs_desc="crank series coefficient",
-        rhs_desc="alternating p-difference sum M(m,n)",
-        grid=tuple(
-            {"m": m, "n": n}
-            for m in range(13)
-            for n in range(cons_top + 1)
-        ),
-        lhs_fn=lambda p: gf(qseries.GfKind.crank_m(p["m"]), cons_top)[p["n"]],
-        rhs_fn=lambda p: counting.crank_count(p["m"], p["n"]),
-    ))
-
-    return tuple(checks)
+        ), (
+            _leg(None, ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
+                 lambda p: gf(qseries.GfKind.crank_m(p["m"]), crank_top)[p["n"]],
+                 crank_formula),
+        )),
+    )
 
 
 def checks_by_id(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mexcrank import cli
+from mexcrank.qseries import GfKind, gf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +90,35 @@ class TestTable:
 
 
 class TestSeries:
+    # Every --kind spelling, the flags it is given here, and the generating
+    # function it must expand.
+    KINDS = {
+        "crank0_alt": ((), GfKind.crank0_alt()),
+        "crank_geq": (("--j", "1"), GfKind.crank_geq_j(1)),
+        "crank_m": (("--m", "2"), GfKind.crank_m(2)),
+        "distinct": ((), GfKind.distinct()),
+        "durfee_rect": (("--b", "1"), GfKind.durfee_rect_b(1)),
+        "euler_inv": ((), GfKind.euler_inv()),
+        "frob_no0": ((), GfKind.frob_no0()),
+        "frob_noj_top": (("--j", "1"), GfKind.frob_noj_top(1)),
+        "poch_q_inf": ((), GfKind.poch_q_inf()),
+    }
+
+    def test_kind_choices(self):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        kind = next(action for action in commands.choices["series"]._actions
+                    if action.dest == "kind")
+        assert list(kind.choices) == sorted(self.KINDS)
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_kind_route(self, name, capsys):
+        flags, kind = self.KINDS[name]
+        code, out, _ = run_cli(["series", "--kind", name, *flags, "--order", "12"], capsys)
+        assert code == 0
+        assert csv_values(out) == [str(c) for c in gf(kind, 12).coeffs]
+
     def test_frob_no0(self, capsys):
         code, out, _ = run_cli(["series", "--kind", "frob_no0", "--order", "4"], capsys)
         assert code == 0
@@ -215,14 +246,13 @@ class TestVerify:
         assert lines[1] == 'EWELL_ODD,"{""k"":0}",0,0,true'
         assert len(lines) == 5
 
-    def test_byte_identical_reruns_and_worker_counts(self, capsys):
+    def test_byte_identical_reruns(self, capsys):
         argv = ["verify", "--check", "THM_JCRANK", "--n-max", "15", "--budget", "15",
                 "--format", "json"]
         first = run_cli(argv, capsys)
         second = run_cli(argv, capsys)
-        threaded = run_cli(argv + ["--workers", "3"], capsys)
-        assert first[0] == second[0] == threaded[0] == 0
-        assert first[1] == second[1] == threaded[1]
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
 
     def test_json_is_canonical_encoding(self, capsys):
         code, out, _ = run_cli(
@@ -234,13 +264,13 @@ class TestVerify:
 
     def test_workers_flag_cold_processes_agree(self):
         # A thread pool once raced on the shared p(n) table and reported
-        # false counterexamples from cold caches; --workers is now a no-op.
+        # false counterexamples from cold caches.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")]))
         env.pop(cli.ENV_BUDGET, None)
         argv = [sys.executable, "-m", "mexcrank", "verify", "--check", "INEQ_OE",
-                "--check", "THM_AN_PARITY", "--workers", "4"]
+                "--check", "THM_AN_PARITY"]
         outputs = set()
         for _ in range(5):
             result = subprocess.run(argv, capture_output=True, text=True, env=env,
@@ -275,7 +305,10 @@ class TestVerify:
 
     def test_bad_flag_values_rejected(self, capsys):
         assert run_cli(["verify", "--check", "EWELL_ODD", "--budget", "-1"], capsys)[0] == 2
-        assert run_cli(["verify", "--check", "EWELL_ODD", "--workers", "0"], capsys)[0] == 2
+        with pytest.raises(SystemExit) as excinfo:  # --workers is gone
+            cli.main(["verify", "--check", "EWELL_ODD", "--workers", "1"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
         assert run_cli(["verify", "--check", "EWELL_ODD", "--n-max", "-4"], capsys)[0] == 2
 
     def test_empty_grid_is_usage_error(self, capsys):

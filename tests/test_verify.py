@@ -13,6 +13,7 @@ from mexcrank.partitions import crank, mex, to_frobenius
 from mexcrank.verify import (
     BudgetExceededError,
     IdentityCheck,
+    Leg,
     checks_by_id,
     crank_geq_oracle,
     crank_value_oracle,
@@ -95,9 +96,15 @@ class TestRegistry:
     def test_checks_fully_described(self):
         for check in registry(12, budget=12):
             assert check.statement
-            assert check.lhs_desc
-            assert check.rhs_desc
             assert check.grid
+            # A lone leg needs no name; several are told apart by their side.
+            sides = [leg.side for leg in check.legs]
+            if len(sides) == 1:
+                assert sides == [None]
+            else:
+                assert None not in sides and len(set(sides)) > 1
+            for leg in check.legs:
+                assert all(point.get("side") == leg.side for point in leg.grid)
 
     def test_checks_by_id_mapping(self):
         mapping = checks_by_id(12, budget=12)
@@ -124,32 +131,21 @@ class TestRegistry:
 
 class TestRunCheck:
     def test_empty_grid_rejected(self):
-        check = IdentityCheck(
-            check_id="EMPTY",
-            statement="no points",
-            lhs_desc="l",
-            rhs_desc="r",
-            grid=(),
-            lhs_fn=lambda p: 0,
-            rhs_fn=lambda p: 0,
-        )
+        empty = Leg("a", (), lambda p: 0, lambda p: 0)
         with pytest.raises(ValueError):
-            run_check(check)
-
-    def test_bad_worker_count_rejected(self):
-        check = checks_by_id(8, budget=8)["EWELL_ODD"]
-        with pytest.raises(ValueError):
-            run_check(check, workers=0)
+            run_check(IdentityCheck(check_id="EMPTY", statement="no points", legs=(empty, empty)))
+        # One leg with points is enough.
+        one = Leg("b", ({"side": "b", "n": 0},), lambda p: 0, lambda p: 0)
+        report = run_check(IdentityCheck(check_id="PART", statement="one point", legs=(empty, one)))
+        assert [record.params for record in report.records] == [{"side": "b", "n": 0}]
 
     def test_budget_error_propagates(self):
         check = IdentityCheck(
             check_id="OVER_BUDGET",
             statement="asks the oracle past its cap",
-            lhs_desc="enumeration",
-            rhs_desc="constant",
-            grid=({"n": 40},),
-            lhs_fn=lambda p: oracle_count(p["n"], lambda lam: True, budget=35),
-            rhs_fn=lambda p: 0,
+            legs=(Leg(None, ({"n": 40},),
+                      lambda p: oracle_count(p["n"], lambda lam: True, budget=35),
+                      lambda p: 0),),
         )
         with pytest.raises(BudgetExceededError):
             run_check(check)
@@ -198,12 +194,11 @@ class TestReports:
             assert isinstance(record["rhs"], str)
         json.dumps(payload)  # must be serializable as-is
 
-    def test_reports_deterministic_across_runs_and_workers(self):
+    def test_reports_deterministic_across_runs(self):
         check = checks_by_id(15, budget=15)["THM_JCRANK"]
         baseline = json.dumps(run_check(check).to_jsonable(), sort_keys=True)
         again = json.dumps(run_check(check).to_jsonable(), sort_keys=True)
-        threaded = json.dumps(run_check(check, workers=4).to_jsonable(), sort_keys=True)
-        assert baseline == again == threaded
+        assert baseline == again
 
     def test_failure_counts(self):
         base = checks_by_id(20, budget=15)["EWELL_ODD"]
