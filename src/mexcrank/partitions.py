@@ -12,8 +12,9 @@ cross-checks in :mod:`mexcrank.verify` meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class UndefinedMexError(ValueError):
@@ -249,12 +250,50 @@ def partition_statistics(n: int) -> PartitionStatistics:
     )
 
 
-# Partition numbers by Euler's pentagonal recurrence:
-#   p(n) = sum_{k>=1} (-1)^(k+1) [ p(n - k(3k-1)/2) + p(n - k(3k+1)/2) ].
-# The shared table only grows and is only appended to under the GIL, so
-# concurrent reads are safe once a build call has returned; writers must not
-# race with each other (the CLI and harness build single-threaded).
+# The p(n) and q(n) tables only grow, one entry at a time, and each new
+# entry is computed from the entries below it:
+#   p(n) = sum_{k>=1} (-1)^(k+1) [ p(n - k(3k-1)/2) + p(n - k(3k+1)/2) ]
+# by Euler's pentagonal theorem, and
+#   q(n) = e(n) + 2 sum_{k>=1} (-1)^(k+1) q(n - k^2),
+# with e(n) = (-1)^j when n = j(3j+-1)/2 and 0 otherwise, by Gauss's
+# sum_k (-1)^k q^(k^2) = (q;q)_inf / (-q;q)_inf.  Neither route is the
+# product (q^2;q^2)_inf / (q;q)_inf that mexcrank.qseries builds q(n) from,
+# so the q(n) cross-checks compare two independent computations.  Growing
+# either table to n costs O(n*sqrt(n)) additions.  The shared tables are
+# only appended to under the GIL, so concurrent reads are safe once a build
+# call has returned; writers must not race with each other (the CLI and
+# harness build single-threaded).
 _PARTITION_TABLE: list[int] = [1]
+_DISTINCT_TABLE: list[int] = [1]
+
+
+def _grow(table: list[int], limit: int, entry: Callable[[list[int]], int]) -> None:
+    # Append entry(table), the value at index len(table), up to index limit.
+    while len(table) <= limit:
+        table.append(entry(table))
+
+
+def _next_partition_count(p: list[int]) -> int:
+    n = len(p)
+    acc = 0
+    k, g = 1, 1  # g = k(3k-1)/2
+    while g <= n:
+        term = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+        acc += term if k % 2 else -term
+        k += 1
+        g += 3 * k - 2
+    return acc
+
+
+def _next_distinct_count(q: list[int]) -> int:
+    n = len(q)
+    root = isqrt(24 * n + 1)  # n = j(3j+-1)/2 exactly when 24n+1 = (6j-+1)^2
+    acc = (-1) ** ((root + 1) // 6) if root * root == 24 * n + 1 else 0
+    k = 1
+    while k * k <= n:
+        acc += 2 * q[n - k * k] if k % 2 else -2 * q[n - k * k]
+        k += 1
+    return acc
 
 
 def partition_count_table(limit: int) -> list[int]:
@@ -264,7 +303,7 @@ def partition_count_table(limit: int) -> list[int]:
     computation is wanted (timing, cross-checks).
     """
     table = [1]
-    _extend_by_recurrence(table, limit)
+    _grow(table, limit, _next_partition_count)
     return table
 
 
@@ -273,37 +312,8 @@ def partition_count(n: int) -> int:
     if n < 0:
         return 0
     if n >= len(_PARTITION_TABLE):
-        _extend_by_recurrence(_PARTITION_TABLE, n)
+        _grow(_PARTITION_TABLE, n, _next_partition_count)
     return _PARTITION_TABLE[n]
-
-
-def _extend_by_recurrence(table: list[int], limit: int) -> None:
-    if limit < len(table):
-        return
-    pents: list[tuple[int, int]] = []  # (generalized pentagonal number, sign)
-    k = 1
-    while True:
-        g = k * (3 * k - 1) // 2
-        if g > limit:
-            break
-        sign = 1 if k % 2 else -1
-        pents.append((g, sign))
-        if g + k <= limit:
-            pents.append((g + k, sign))
-        k += 1
-    for i in range(len(table), limit + 1):
-        acc = 0
-        for g, sign in pents:
-            if g > i:
-                break
-            if sign > 0:
-                acc += table[i - g]
-            else:
-                acc -= table[i - g]
-        table.append(acc)
-
-
-_DISTINCT_TABLE: list[int] = [1]
 
 
 def distinct_parts_count(n: int) -> int:
@@ -311,18 +321,8 @@ def distinct_parts_count(n: int) -> int:
     if n < 0:
         return 0
     if n >= len(_DISTINCT_TABLE):
-        _rebuild_distinct_table(max(n, 2 * len(_DISTINCT_TABLE)))
+        _grow(_DISTINCT_TABLE, n, _next_distinct_count)
     return _DISTINCT_TABLE[n]
-
-
-def _rebuild_distinct_table(limit: int) -> None:
-    # Product of (1 + q^k): descending update keeps each factor's reads
-    # ahead of its writes.
-    table = [1] + [0] * limit
-    for k in range(1, limit + 1):
-        for i in range(limit, k - 1, -1):
-            table[i] += table[i - k]
-    _DISTINCT_TABLE[:] = table
 
 
 def mex(partition: Partition) -> int:

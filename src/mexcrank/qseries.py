@@ -2,24 +2,33 @@
 
 A :class:`TruncatedSeries` holds the integer coefficients of q^0 .. q^N for
 some order N.  All arithmetic is exact; mixed-order operands truncate to the
-smaller order.  The named generating functions (:func:`gf`) are built from
-series primitives only; in particular the partition series is obtained by
-*inverting* the pentagonal-number expansion of the q-Pochhammer product, so
-its coefficients arrive by a different route than the recurrence in
-:mod:`mexcrank.partitions`.  The other quotients by (q;q)_inf (the crank,
-crank-at-least-j and top-row-avoiding Frobenius series, and the
-distinct-parts series as (q^2;q^2)_inf / (q;q)_inf) are solved by
-pentagonal division, one coefficient at a time with O(sqrt(N)) terms each,
-so they cost O(N*sqrt(N)) rather than a dense O(N^2) product.  Every
-infinite sum is truncated at the first term whose minimal exponent exceeds
-N; the exponents grow quadratically in the summation index, so the
-truncation is finite and exact.
+smaller order.  The named generating functions (:func:`gf`) come from two
+private kernels, one per shape of series:
+
+* ``_sparse`` turns a stream of (exponent, coefficient) terms into
+  coefficients.  It serves the pentagonal product (q;q)_inf and the sparse
+  numerators over it: the crank, crank-at-least-j and top-row-avoiding
+  Frobenius series, and the distinct-parts series as (q^2;q^2)_inf /
+  (q;q)_inf.  Those quotients are solved by pentagonal division, one
+  coefficient at a time with O(sqrt(N)) terms each, so they cost
+  O(N*sqrt(N)) rather than a dense O(N^2) product.
+* ``_running_sum`` adds up sum_s q^e(s) / ((q)_s (q)_(s+b)) with one running
+  factor, cut to N - e(s) before each division by (1 - q^k).  It serves the
+  zero-free Frobenius series, the Durfee-rectangle decompositions and the
+  Heine sum behind ``crank0_alt``.
+
+The partition series alone is the *inverted* pentagonal product, so its
+coefficients arrive by a different route than the recurrence in
+:mod:`mexcrank.partitions`.  Every infinite sum stops at the first term
+whose exponent exceeds N; the exponents increase with the summation index,
+so the truncation is finite and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class NonUnitError(ValueError):
@@ -183,7 +192,8 @@ def pochhammer_finite(k: int, order: int) -> TruncatedSeries:
 
 # In-place primitives on coefficient lists.  Multiplying by (1 - q^k) reads
 # below the write index, so it walks downward; dividing (the geometric
-# expansion of 1/(1 - q^k)) reads already-updated entries, so it walks up.
+# expansion of 1/(1 - q^k)) reads already-updated entries, so it walks up,
+# one block of k entries at a time: a block reads only the block below it.
 
 def _mul_one_minus_qk(coeffs: list[int], k: int) -> None:
     for i in range(len(coeffs) - 1, k - 1, -1):
@@ -191,16 +201,8 @@ def _mul_one_minus_qk(coeffs: list[int], k: int) -> None:
 
 
 def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
-    for i in range(k, len(coeffs)):
-        coeffs[i] += coeffs[i - k]
-
-
-def _div_one_minus_qk_squared(coeffs: list[int], k: int) -> None:
-    # Both divisions by (1 - q^k) in one upward pass.
-    for i in range(k, min(2 * k, len(coeffs))):
-        coeffs[i] += 2 * coeffs[i - k]
-    for i in range(2 * k, len(coeffs)):
-        coeffs[i] += 2 * coeffs[i - k] - coeffs[i - 2 * k]
+    for i in range(k, len(coeffs), k):
+        coeffs[i:i + k] = [c + d for c, d in zip(coeffs[i:i + k], coeffs[i - k:i])]
 
 
 # --- named generating functions -------------------------------------------
@@ -287,25 +289,29 @@ def gf(kind: GfKind, order: int) -> TruncatedSeries:
     return builder(kind.param, order)
 
 
-def _gf_poch_q_inf(order: int) -> TruncatedSeries:
-    # Pentagonal number theorem: 1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)).
+# --- the two series kernels -------------------------------------------------
+
+def _sparse(order: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficients 0..order of the sum of c * q^e over (e, c) in terms.
+
+    The exponents must not decrease; the first one past ``order`` ends the
+    stream, so an endless stream of terms is fine.
+    """
     coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    k = 1
-    while True:
-        g = k * (3 * k - 1) // 2
-        if g > order:
+    for e, c in terms:
+        if e > order:
             break
-        sign = -1 if k % 2 else 1
-        coeffs[g] = sign
-        if g + k <= order:
-            coeffs[g + k] = sign
-        k += 1
-    return TruncatedSeries(coeffs)
+        coeffs[e] += c
+    return coeffs
 
 
-def _gf_euler_inv(order: int) -> TruncatedSeries:
-    return _gf_poch_q_inf(order).invert()
+def _pentagonal() -> Iterator[tuple[int, int]]:
+    # (q;q)_inf = 1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)).
+    yield 0, 1
+    for k in count(1):
+        g, sign = k * (3 * k - 1) // 2, (-1) ** k
+        yield g, sign
+        yield g + k, sign
 
 
 def _divide_by_poch(num: Sequence[int]) -> TruncatedSeries:
@@ -316,7 +322,7 @@ def _divide_by_poch(num: Sequence[int]) -> TruncatedSeries:
     numbers 0 < g <= n, where c_g = +-1.  That is O(sqrt(n)) terms per
     coefficient instead of a dense product with 1/(q;q)_inf.
     """
-    poch = _gf_poch_q_inf(len(num) - 1).coeffs
+    poch = _sparse(len(num) - 1, _pentagonal())
     minus = [g for g, c in enumerate(poch) if c < 0]
     plus = [g for g, c in enumerate(poch) if c > 0 and g]
     out: list[int] = []
@@ -333,118 +339,72 @@ def _divide_by_poch(num: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def _running_sum(order: int, start: Iterable[int], exponent: Callable[[int], int],
+                 factors: Callable[[int], Iterable[int]]) -> TruncatedSeries:
+    """sum_{s>=0} q^exponent(s) * R_s to the order, where R_0 is 1 over the
+    (1 - q^k) for k in start, and R_s is R_(s-1) over those for k in factors(s).
+
+    The exponents must increase.  Term s reads R_s only up to index
+    order - exponent(s), so the running factor is cut there before dividing.
+    """
+    out = [0] * (order + 1)
+    running = [1] + [0] * order
+    for s in count():
+        e = exponent(s)
+        if e > order:
+            return TruncatedSeries(out)
+        del running[order - e + 1:]
+        for k in factors(s) if s else start:
+            _div_one_minus_qk(running, k)
+        out[e:] = [o + r for o, r in zip(out[e:], running)]
+
+
+def _gf_poch_q_inf(order: int) -> TruncatedSeries:
+    return TruncatedSeries(_sparse(order, _pentagonal()))
+
+
+def _gf_euler_inv(order: int) -> TruncatedSeries:
+    return _gf_poch_q_inf(order).invert()
+
+
 def _gf_distinct(order: int) -> TruncatedSeries:
-    # prod (1 + q^k) = (q^2;q^2)_inf / (q;q)_inf: the pentagonal expansion
-    # moved to even exponents, then divided.
-    num = [0] * (order + 1)
-    for g, c in enumerate(_gf_poch_q_inf(order // 2).coeffs):
-        num[2 * g] = c
-    return _divide_by_poch(num)
+    # prod (1 + q^k) = (q^2;q^2)_inf / (q;q)_inf.
+    return _divide_by_poch(_sparse(order, ((2 * g, c) for g, c in _pentagonal())))
 
 
 def _gf_crank_m(m: int, order: int) -> TruncatedSeries:
     # (1/(q)_inf) * sum_{n>=1} (-1)^(n-1) q^(n(n-1)/2 + n|m|) (1 - q^n).
-    m = abs(m)
-    num = [0] * (order + 1)
-    n = 1
-    while True:
-        e = n * (n - 1) // 2 + n * m
-        if e > order:
-            break
-        sign = 1 if n % 2 else -1
-        num[e] += sign
-        if e + n <= order:
-            num[e + n] -= sign
-        n += 1
-    return _divide_by_poch(num)
+    terms = (term for n in count(1) for e in [n * (n - 1) // 2 + n * abs(m)]
+             for term in ((e, (-1) ** (n - 1)), (e + n, (-1) ** n)))
+    return _divide_by_poch(_sparse(order, terms))
 
 
 def _gf_crank_geq_j(j: int, order: int) -> TruncatedSeries:
     # (1/(q)_inf) * sum_{k>=0} q^((2k+1)(k+j)) (1 - q^(2k+j+1)).
-    num = [0] * (order + 1)
-    k = 0
-    while True:
-        e = (2 * k + 1) * (k + j)
-        if e > order:
-            break
-        num[e] += 1
-        if e + 2 * k + j + 1 <= order:
-            num[e + 2 * k + j + 1] -= 1
-        k += 1
-    return _divide_by_poch(num)
-
-
-def _gf_frob_no0(order: int) -> TruncatedSeries:
-    # sum_{s>=0} q^(s^2 + 2s) / (q)_s^2, with 1/(q)_s^2 grown in place.
-    running = [0] * (order + 1)
-    running[0] = 1
-    out = list(running)
-    s = 1
-    while s * s + 2 * s <= order:
-        _div_one_minus_qk(running, s)
-        _div_one_minus_qk(running, s)
-        base = s * s + 2 * s
-        for i in range(order - base + 1):
-            out[base + i] += running[i]
-        s += 1
-    return TruncatedSeries(out)
-
-
-def _gf_crank0_alt(order: int) -> TruncatedSeries:
-    # (q)_inf * sum_{k>=0} q^(2k) / (q)_k^2.  Term k reads the running
-    # factor 1/(q)_k^2 only up to index order - 2k, so it is divided only
-    # that far.  Once k > order - 2k, dividing by (1-q^k) leaves those
-    # indices alone, so every later term adds the same running factor: the
-    # remaining sum is one pass of running sums over every other index.
-    running = [0] * (order + 1)
-    running[0] = 1
-    total = list(running)
-    k = 1
-    while 3 * k <= order:
-        del running[order - 2 * k + 1:]
-        _div_one_minus_qk_squared(running, k)
-        total[2 * k:] = [t + r for t, r in zip(total[2 * k:], running)]
-        k += 1
-    if 2 * k <= order:
-        # total[n] += sum over k' >= k with 2k' <= n of running[n - 2k'].
-        del running[order - 2 * k + 1:]
-        for i in range(2, len(running)):
-            running[i] += running[i - 2]
-        total[2 * k:] = [t + r for t, r in zip(total[2 * k:], running)]
-    return _gf_poch_q_inf(order) * TruncatedSeries(total)
+    terms = (term for k in count() for e in [(2 * k + 1) * (k + j)]
+             for term in ((e, 1), (e + 2 * k + j + 1, -1)))
+    return _divide_by_poch(_sparse(order, terms))
 
 
 def _gf_frob_noj_top(j: int, order: int) -> TruncatedSeries:
     # (1/(q)_inf) * sum_{b>=0} (-1)^b q^(b(b+1)/2 + jb).
-    num = [0] * (order + 1)
-    b = 0
-    while True:
-        e = b * (b + 1) // 2 + j * b
-        if e > order:
-            break
-        num[e] += -1 if b % 2 else 1
-        b += 1
-    return _divide_by_poch(num)
+    terms = ((b * (b + 1) // 2 + j * b, (-1) ** b) for b in count())
+    return _divide_by_poch(_sparse(order, terms))
+
+
+def _gf_frob_no0(order: int) -> TruncatedSeries:
+    # sum_{s>=0} q^(s^2 + 2s) / (q)_s^2.
+    return _running_sum(order, (), lambda s: s * s + 2 * s, lambda s: (s, s))
+
+
+def _gf_crank0_alt(order: int) -> TruncatedSeries:
+    # (q)_inf * sum_{k>=0} q^(2k) / (q)_k^2.
+    return _gf_poch_q_inf(order) * _running_sum(order, (), lambda k: 2 * k, lambda k: (k, k))
 
 
 def _gf_durfee_rect_b(b: int, order: int) -> TruncatedSeries:
-    # sum_{s>=0} q^(s^2 + bs) / ((q)_s (q)_(s+b)); the s-th factor pair is
-    # grown from the previous one by dividing by (1-q^s) and (1-q^(s+b)).
-    running = [0] * (order + 1)
-    running[0] = 1
-    for i in range(1, min(b, order) + 1):
-        _div_one_minus_qk(running, i)
-    out = list(running)
-    s = 1
-    while s * s + b * s <= order:
-        _div_one_minus_qk(running, s)
-        if s + b <= order:
-            _div_one_minus_qk(running, s + b)
-        base = s * s + b * s
-        for i in range(order - base + 1):
-            out[base + i] += running[i]
-        s += 1
-    return TruncatedSeries(out)
+    # sum_{s>=0} q^(s^2 + bs) / ((q)_s (q)_(s+b)).
+    return _running_sum(order, range(1, b + 1), lambda s: s * s + b * s, lambda s: (s, s + b))
 
 
 # Every named generating function, by tag: the name of its integer

@@ -320,11 +320,13 @@ def registry(
                   formula: Callable[[Params], int],
                   oracle: Callable[[Params], int]) -> tuple[Leg, ...]:
         # Per parameter value, the formula then the enumeration at n = 1,
-        # each against its documented constant.
+        # each against its documented constant; like every enumeration
+        # grid, the enumeration is capped by the budget.
+        sides = (side, "n1_oracle") if budget >= 1 else (side,)
         return tuple(
             _leg(leg_side, ({param: value, "n": 1},), lhs, lambda p, pinned=pinned: pinned)
             for value, pair in values.items()
-            for leg_side, lhs, pinned in zip((side, "n1_oracle"), (formula, oracle), pair)
+            for leg_side, lhs, pinned in zip(sides, (formula, oracle), pair)
         )
 
     def o13_rhs(p: Params) -> int:

@@ -297,6 +297,29 @@ class TestVerify:
         records = json.loads(out)["reports"][0]["records"]
         assert max(record["params"]["n"] for record in records) == 12
 
+    def test_zero_budget_drops_pinned_enumeration(self, capsys, monkeypatch):
+        # The n = 1 records of THM_JCRANK and COR_CRANKRECUR enumerate, so
+        # a zero budget caps them away like every other enumeration grid.
+        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
+        code, out, err = run_cli(["verify", "--budget", "0", "--format", "json"], capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        sides = {record["params"].get("side")
+                 for report in json.loads(out)["reports"] for record in report["records"]}
+        assert "n1_oracle" not in sides
+        assert {"n1_series", "n1_formula"} <= sides
+
+    def test_series_span_follows_n_max_past_default(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
+        code, out, _ = run_cli(
+            ["verify", "--check", "SERIES_HEINE", "--check", "PROP_NOF0", "--n-max", "250",
+             "--format", "json"], capsys)
+        assert code == 0
+        heine, nof0 = json.loads(out)["reports"]
+        assert heine["total"] == 251
+        assert max(record["params"]["n"] for record in nof0["records"]
+                   if record["params"]["side"] == "series") == 250
+
     def test_bad_env_budget_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_BUDGET, "many")
         code, _, err = run_cli(["verify", "--check", "EWELL_ODD", "--n-max", "3"], capsys)

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from mexcrank import partitions
 from mexcrank.partitions import (
     FrobeniusSymbol,
     MalformedSymbolError,
@@ -135,8 +136,17 @@ class TestCountingTables:
     def test_distinct_negative(self):
         assert distinct_parts_count(-1) == 0
 
+    @pytest.mark.parametrize("table, count", [("_PARTITION_TABLE", partition_count),
+                                              ("_DISTINCT_TABLE", distinct_parts_count)])
+    def test_grown_one_at_a_time_matches_one_call(self, table, count, monkeypatch):
+        monkeypatch.setattr(partitions, table, [1])
+        stepwise = [count(n) for n in range(601)]
+        monkeypatch.setattr(partitions, table, [1])
+        assert count(600) == stepwise[600]
+        assert getattr(partitions, table) == stepwise
+
     def test_distinct_matches_enumeration(self):
-        for n in range(16):
+        for n in range(26):
             by_hand = sum(
                 1 for lam in enumerate_partitions(n)
                 if len(set(lam.parts)) == len(lam.parts)

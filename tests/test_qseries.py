@@ -183,6 +183,9 @@ class TestGfKind:
         assert len({GfKind.euler_inv(), GfKind.euler_inv()}) == 1
 
 
+RUNNING_SUM_ORDERS = (*range(61), 400)
+
+
 class TestNamedSeries:
     def test_euler_inv_is_partition_numbers(self):
         series = gf(GfKind.euler_inv(), 10)
@@ -216,13 +219,22 @@ class TestNamedSeries:
     def test_frob_noj_top_head(self):
         assert gf(GfKind.frob_noj_top(0), 4).coeffs == (1, 0, 1, 2, 3)
 
+    # Every order 0..60 crosses each truncation boundary of the running sum;
+    # each case compares against a series from the other kernel.
     def test_durfee_rect_equals_euler_inv(self):
-        reference = gf(GfKind.euler_inv(), 60)
-        for b in range(11):
-            assert gf(GfKind.durfee_rect_b(b), 60) == reference
+        for order in RUNNING_SUM_ORDERS:
+            reference = gf(GfKind.euler_inv(), order)
+            for b in range(11):
+                assert gf(GfKind.durfee_rect_b(b), order) == reference, (b, order)
 
     def test_crank0_alt_equals_crank_m_zero(self):
-        assert gf(GfKind.crank0_alt(), 80) == gf(GfKind.crank_m(0), 80)
+        for order in RUNNING_SUM_ORDERS:
+            assert gf(GfKind.crank0_alt(), order) == gf(GfKind.crank_m(0), order), order
+
+    def test_one_minus_q_times_frob_no0_equals_crank_m_zero(self):
+        for order in RUNNING_SUM_ORDERS:
+            step = TruncatedSeries((1, -1), order) * gf(GfKind.frob_no0(), order)
+            assert step == gf(GfKind.crank_m(0), order), order
 
     def test_euler_inv_coefficients_nondecreasing(self):
         series = gf(GfKind.euler_inv(), 200)
@@ -336,8 +348,6 @@ class TestPentagonalDivisionRoutes:
             assert gf(GfKind.distinct(), order).coeffs == counts[: order + 1], order
 
     def test_crank0_alt_matches_one_minus_q_times_frob_no0(self):
-        # Every order 0..60 crosses each boundary of the shortened loop:
-        # the last divided k (3k <= order) and the running-sum tail.
-        for order in (*range(61), 400):
+        for order in RUNNING_SUM_ORDERS:
             expected = TruncatedSeries((1, -1), order) * gf(GfKind.frob_no0(), order)
             assert gf(GfKind.crank0_alt(), order) == expected, order
