@@ -11,7 +11,6 @@ integer arithmetic; there are no tolerances anywhere.
 from __future__ import annotations
 
 from .counting import (
-    TriangularIndex,
     crank_count,
     crank_geq_count,
     crank_zero_expansion,
@@ -24,7 +23,6 @@ from .counting import (
     mex_count,
     odd_mex_count,
     triangular,
-    triangulars,
 )
 from .partitions import (
     FrobeniusSymbol,
@@ -82,7 +80,6 @@ __all__ = [
     "NonUnitError",
     "Partition",
     "PartitionStatistics",
-    "TriangularIndex",
     "TruncatedSeries",
     "UndefinedMexError",
     "VerificationReport",
@@ -117,5 +114,4 @@ __all__ = [
     "run_check",
     "to_frobenius",
     "triangular",
-    "triangulars",
 ]

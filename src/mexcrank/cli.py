@@ -118,19 +118,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return _fail("--fn x_mex requires --m >= 1")
     if fn == "crank_geq" and args.j < 0:
         return _fail("--fn crank_geq requires --j >= 0")
-    evaluators = {
-        "p": lambda n: partitions.partition_count(n),
-        "q": lambda n: partitions.distinct_parts_count(n),
-        "M": lambda n: counting.crank_count(args.m, n),
-        "crank_geq": lambda n: counting.crank_geq_count(args.j, n),
-        "x_mex": lambda n: counting.mex_count(args.m, n),
-        "o": counting.odd_mex_count,
-        "e": counting.even_mex_count,
-        "o1": counting.mex_1mod4_count,
-        "o3": counting.mex_3mod4_count,
-    }
-    evaluate = evaluators[fn]
-    rows = [{"n": n, "value": str(evaluate(n))} for n in range(args.n_max + 1)]
+    if fn == "q":
+        values = map(partitions.distinct_parts_count, range(args.n_max + 1))
+    else:
+        values = counting.table_row(fn, args.j if fn == "crank_geq" else args.m, args.n_max)
+    rows = [{"n": n, "value": str(value)} for n, value in enumerate(values)]
     _emit_rows(rows, ("n", "value"), args)
     return 0
 

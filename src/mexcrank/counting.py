@@ -1,38 +1,38 @@
-"""Closed-form partition-statistic counts from finite p(n) combinations.
+"""Closed-form partition-statistic counts as finite p(n) combinations.
 
-Everything here reduces to finitely many exact evaluations of the partition
-function, so each routine is a direct transcription of a classical formula
-rather than an enumeration.  These are the "fast sides" that the verifier in
-:mod:`mexcrank.verify` plays against brute-force counts.
+Each count is a classical formula sum_i c_i p(n - g_i), the "fast side" that
+:mod:`mexcrank.verify` plays against a brute-force count.  Its terms come as
+a stream of (offset g, coefficient c) pairs whose offsets never decrease,
+and one kernel, :func:`_count`, sums c p(n - g) over a stream up to its first
+offset past n, reading p from the shared table.  Each public function is its
+argument checks plus its stream through the kernel; :func:`table_row` runs
+the kernel at n = 0..N over a stream materialized once up to N.  The streams,
+with t_i = i(i + 1)/2:
 
-All sums over an auxiliary index k stop at the first term whose p-argument
-goes negative; since the subtracted offsets grow at least linearly in k,
-every sum is finite.
+* M(m, n): k(k + 2|m| - 1)/2 with (-1)^(k+1), then k(k + 2|m| + 1)/2 with
+  (-1)^k, for k >= 1; crank >= j: k(k - 1)/2 + kj with (-1)^(k+1);
+* mex exactly m: +1 at t_(m-1) and -1 at t_m;
+* a mex residue class: at each t_i, +1 if mex i + 1 is in the class and -1
+  if mex i >= 1 is, so that o(n) = sum_i (-1)^i p(n - t_i);
+* the crank-zero expansion: 1 at t_0, then 2(-1)^i at t_i; Ewell's sums:
+  (-1)^(t_i) at t_i.
+
+The crank-zero expansion equals M(0, n) and 2 o(n) - p(n), yet keeps its own
+stream: COR_0CRANK checks it against M(0, n), and two sides built from one
+stream would check nothing.  Likewise Ewell's sums never read the q(n) table
+that EWELL_EVEN checks them against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from itertools import accumulate, chain, count, cycle, islice, takewhile
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .partitions import partition_count
+from .partitions import shared_partition_table
 
-
-class TriangularIndex(NamedTuple):
-    """A triangular number t = k(k+1)/2 together with its index k."""
-
-    k: int
-    value: int
-
-
-def triangulars(bound: int) -> Iterator[TriangularIndex]:
-    """Yield TriangularIndex(k, k(k+1)/2) for all k >= 0 with value <= bound."""
-    k = 0
-    t = 0
-    while t <= bound:
-        yield TriangularIndex(k, t)
-        k += 1
-        t += k
+Terms = Iterable[tuple[int, int]]
 
 
 def triangular(k: int) -> int:
@@ -40,6 +40,58 @@ def triangular(k: int) -> int:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return k * (k + 1) // 2
+
+
+def _count(n: int, terms: Terms) -> int:
+    # The kernel: sum of c * p(n - g) over the terms, up to the first g > n.
+    p = shared_partition_table(n)
+    total = 0
+    for g, c in terms:
+        if g > n:
+            break
+        total += c * p[n - g]
+    return total
+
+
+def _triangular_terms(first: int, period: Sequence[int]) -> Terms:
+    # first at t_0 = 0, then period[i % len(period)] at t_i, i >= 1; no zeros.
+    rest = zip(accumulate(count(1)), islice(cycle(period), 1, None))
+    return filter(itemgetter(1), chain(((0, first),), rest))
+
+
+def _mex_residue_terms(residue: int, modulus: int) -> Terms:
+    # Mex m counts p(n - t_(m-1)) - p(n - t_m), hence the +1 and -1 at t_i.
+    period = [((i + 1) % modulus == residue) - (i == residue) for i in range(modulus)]
+    return _triangular_terms(int(1 % modulus == residue), period)
+
+
+def _crank_terms(m: int) -> Iterator[tuple[int, int]]:
+    lo, sign = abs(m), 1  # k(k + 2|m| - 1)/2 and (-1)^(k+1) at k = 1
+    for k in count(1):
+        yield lo, sign
+        yield lo + k, -sign
+        lo, sign = lo + k + abs(m), -sign
+
+
+STREAMS: dict[str, Callable[[int], Terms]] = {
+    "p": lambda _: ((0, 1),),
+    "M": _crank_terms,
+    # Offsets k(k - 1)/2 + kj for k >= 1, which step by j + k - 1.
+    "crank_geq": lambda j: zip(accumulate(count(j + 1), initial=j), cycle((1, -1))),
+    "x_mex": lambda m: ((triangular(m - 1), 1), (triangular(m), -1)),
+    "o": lambda _: _mex_residue_terms(1, 2),
+    "e": lambda _: _mex_residue_terms(0, 2),
+    "o1": lambda _: _mex_residue_terms(1, 4),
+    "o3": lambda _: _mex_residue_terms(3, 4),
+}
+
+
+def table_row(fn: str, param: int, n_max: int) -> Iterator[int]:
+    """Row n = 0..n_max of the ``table --fn fn`` stream ``STREAMS[fn](param)``
+    (param is m for M and x_mex, j for crank_geq, unused otherwise): the
+    kernel at each n in turn over the stream, materialized once up to n_max."""
+    terms = list(takewhile(lambda term: term[0] <= n_max, STREAMS[fn](param)))
+    return (_count(n, terms) for n in range(n_max + 1))
 
 
 def crank_count(m: int, n: int) -> int:
@@ -50,20 +102,7 @@ def crank_count(m: int, n: int) -> int:
     Agrees with the combinatorial crank for all n except n = 1, where the
     series assigns M(0,1) = -1 and M(1,1) = M(-1,1) = 1.
     """
-    if n < 0:
-        return 0
-    m = abs(m)
-    total = 0
-    k = 1
-    while True:
-        lo = k * (k + 2 * m - 1) // 2
-        if lo > n:
-            break
-        hi = lo + k  # k(k + 2m + 1)/2
-        term = partition_count(n - lo) - partition_count(n - hi)
-        total += term if k % 2 else -term
-        k += 1
-    return total
+    return _count(n, STREAMS["M"](m))
 
 
 def crank_geq_count(j: int, n: int) -> int:
@@ -74,18 +113,7 @@ def crank_geq_count(j: int, n: int) -> int:
     """
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
-    if n < 0:
-        return 0
-    total = 0
-    k = 1
-    while True:
-        offset = k * (k - 1) // 2 + k * j
-        if offset > n:
-            break
-        term = partition_count(n - offset)
-        total += term if k % 2 else -term
-        k += 1
-    return total
+    return _count(n, STREAMS["crank_geq"](j))
 
 
 def mex_count(m: int, n: int) -> int:
@@ -97,52 +125,32 @@ def mex_count(m: int, n: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    return partition_count(n - triangular(m - 1)) - partition_count(n - triangular(m))
+    return _count(n, STREAMS["x_mex"](m))
 
 
 def odd_mex_count(n: int) -> int:
     """Partitions of n whose mex is odd."""
-    return _mex_residue_count(n, (1,), 2)
+    return _count(n, STREAMS["o"](0))
 
 
 def even_mex_count(n: int) -> int:
     """Partitions of n whose mex is even."""
-    return _mex_residue_count(n, (0,), 2)
+    return _count(n, STREAMS["e"](0))
 
 
 def mex_1mod4_count(n: int) -> int:
     """Partitions of n whose mex is congruent to 1 mod 4."""
-    return _mex_residue_count(n, (1,), 4)
+    return _count(n, STREAMS["o1"](0))
 
 
 def mex_3mod4_count(n: int) -> int:
     """Partitions of n whose mex is congruent to 3 mod 4."""
-    return _mex_residue_count(n, (3,), 4)
-
-
-def _mex_residue_count(n: int, residues: tuple[int, ...], modulus: int) -> int:
-    if n < 0:
-        return 0
-    total = 0
-    m = 1
-    while triangular(m - 1) <= n:
-        if m % modulus in residues:
-            total += mex_count(m, n)
-        m += 1
-    return total
+    return _count(n, STREAMS["o3"](0))
 
 
 def crank_zero_expansion(n: int) -> int:
     """M(0,n) as p(n) + 2 sum_{k>=1} (-1)^k p(n - k(k+1)/2)."""
-    if n < 0:
-        return 0
-    total = partition_count(n)
-    for k, t in triangulars(n):
-        if k == 0:
-            continue
-        term = 2 * partition_count(n - t)
-        total += -term if k % 2 else term
-    return total
+    return _count(n, _triangular_terms(1, (2, -2)))
 
 
 def ewell_even_sum(k: int) -> int:
@@ -151,22 +159,12 @@ def ewell_even_sum(k: int) -> int:
     The sign is -1 exactly when the triangular number t_j is odd, i.e. when
     j is congruent to 1 or 2 mod 4.
     """
-    return _ewell_sum(2 * k)
+    return _count(2 * k, _triangular_terms(1, (1, -1, -1, 1)))
 
 
 def ewell_odd_sum(k: int) -> int:
     """Ewell's odd-index sum: sum_j (-1)^(t_j) p(2k + 1 - t_j), equal to 0."""
-    return _ewell_sum(2 * k + 1)
-
-
-def _ewell_sum(n: int) -> int:
-    if n < 0:
-        return 0
-    total = 0
-    for _, t in triangulars(n):
-        term = partition_count(n - t)
-        total += -term if t % 2 else term
-    return total
+    return _count(2 * k + 1, _triangular_terms(1, (1, -1, -1, 1)))
 
 
 def is_double_pentagonal(n: int) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class UndefinedMexError(ValueError):
@@ -305,6 +305,15 @@ def partition_count_table(limit: int) -> list[int]:
     table = [1]
     _grow(table, limit, _next_partition_count)
     return table
+
+
+def shared_partition_table(limit: int) -> Sequence[int]:
+    """The shared table p(0), p(1), ..., grown to hold p(limit) at least.
+
+    Read only: callers index it and never change it.
+    """
+    _grow(_PARTITION_TABLE, limit, _next_partition_count)
+    return _PARTITION_TABLE
 
 
 def partition_count(n: int) -> int:

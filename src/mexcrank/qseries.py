@@ -403,8 +403,10 @@ def _gf_crank0_alt(order: int) -> TruncatedSeries:
 
 
 def _gf_durfee_rect_b(b: int, order: int) -> TruncatedSeries:
-    # sum_{s>=0} q^(s^2 + bs) / ((q)_s (q)_(s+b)).
-    return _running_sum(order, range(1, b + 1), lambda s: s * s + b * s, lambda s: (s, s + b))
+    # sum_{s>=0} q^(s^2 + bs) / ((q)_s (q)_(s+b)).  Dividing by (1 - q^k) with
+    # k > order changes nothing to the order, so the start factors stop there.
+    start = range(1, min(b, order) + 1)
+    return _running_sum(order, start, lambda s: s * s + b * s, lambda s: (s, s + b))
 
 
 # Every named generating function, by tag: the name of its integer

@@ -137,6 +137,16 @@ class TestSeries:
         assert code == 0
         assert csv_values(out) == ["1", "1", "2", "3", "5", "7", "11"]
 
+    def test_durfee_rect_huge_b_is_euler_inv(self):
+        # Only the factors (1 - q^k) with k <= order matter; a loop over all
+        # k <= b never finished for b = 10**9.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        outputs = [subprocess.run(
+            [sys.executable, "-m", "mexcrank", "series", *kind, "--order", "10"],
+            capture_output=True, env=env, timeout=5, check=True).stdout
+            for kind in (("--kind", "durfee_rect", "--b", str(10**9)), ("--kind", "euler_inv"))]
+        assert outputs[0] == outputs[1]
+
     def test_crank_m_sign_insensitive(self, capsys):
         _, negative, _ = run_cli(
             ["series", "--kind", "crank_m", "--m", "-2", "--order", "10"], capsys)

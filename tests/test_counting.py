@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from mexcrank.counting import (
-    TriangularIndex,
+    STREAMS,
     crank_count,
     crank_geq_count,
     crank_zero_expansion,
@@ -17,9 +17,10 @@ from mexcrank.counting import (
     mex_3mod4_count,
     mex_count,
     odd_mex_count,
+    table_row,
     triangular,
-    triangulars,
 )
+from mexcrank.cli import _TABLE_FNS
 from mexcrank.partitions import distinct_parts_count, partition_count
 
 
@@ -28,20 +29,6 @@ class TestTriangulars:
         assert [triangular(k) for k in range(7)] == [0, 1, 3, 6, 10, 15, 21]
         with pytest.raises(ValueError):
             triangular(-1)
-
-    def test_generator(self):
-        assert list(triangulars(10)) == [
-            TriangularIndex(0, 0),
-            TriangularIndex(1, 1),
-            TriangularIndex(2, 3),
-            TriangularIndex(3, 6),
-            TriangularIndex(4, 10),
-        ]
-        assert list(triangulars(-1)) == []
-
-    def test_named_fields(self):
-        entry = TriangularIndex(3, 6)
-        assert entry.k == 3 and entry.value == 6
 
 
 class TestCrankCount:
@@ -176,3 +163,40 @@ class TestDoublePentagonal:
 
     def test_negative_is_false(self):
         assert not is_double_pentagonal(-2)
+
+
+@pytest.mark.parametrize("count", [
+    lambda n: mex_count(1, n), lambda n: mex_count(5, n), odd_mex_count, even_mex_count,
+    mex_1mod4_count, mex_3mod4_count, ewell_even_sum, ewell_odd_sum,
+], ids=["mex_1", "mex_5", "odd_mex", "even_mex", "mex_1mod4", "mex_3mod4",
+        "ewell_even", "ewell_odd"])
+def test_negative_n_is_zero(count):
+    for n in (-1, -2, -3, -6, -50):
+        assert count(n) == 0
+
+
+# The per-n function of each table row, called as (param, n).
+PER_N = {
+    "p": lambda _, n: partition_count(n),
+    "M": crank_count,
+    "crank_geq": crank_geq_count,
+    "x_mex": mex_count,
+    "o": lambda _, n: odd_mex_count(n),
+    "e": lambda _, n: even_mex_count(n),
+    "o1": lambda _, n: mex_1mod4_count(n),
+    "o3": lambda _, n: mex_3mod4_count(n),
+}
+
+
+def test_streams_cover_every_table_fn_but_q():
+    assert set(STREAMS) == set(PER_N) == set(_TABLE_FNS) - {"q"}
+
+
+@pytest.mark.parametrize("fn, param", [
+    *((fn, 0) for fn in ("p", "o", "e", "o1", "o3")),
+    *(("M", m) for m in range(-3, 13)),
+    *(("crank_geq", j) for j in range(6)),
+    *(("x_mex", m) for m in range(1, 7)),
+])
+def test_table_row_matches_per_n(fn, param):
+    assert list(table_row(fn, param, 300)) == [PER_N[fn](param, n) for n in range(301)]

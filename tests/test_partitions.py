@@ -145,6 +145,14 @@ class TestCountingTables:
         assert count(600) == stepwise[600]
         assert getattr(partitions, table) == stepwise
 
+    def test_shared_table_prefix_matches_partition_count(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
+        table = partitions.shared_partition_table(300)
+        assert list(table) == [partition_count(n) for n in range(301)]
+        assert list(table) == partition_count_table(300)
+        assert partitions.shared_partition_table(7) is table
+        assert partitions.shared_partition_table(-1) is table
+
     def test_distinct_matches_enumeration(self):
         for n in range(26):
             by_hand = sum(
