@@ -383,23 +383,40 @@ class TestGoldenOutput:
     OVERRIDES = ("--n-max", "14", "--budget", "10", "--order", "60")
     OVERRIDE_DIGEST = "10bc827fa990f299cb69ea9f8f9ed53558189191c19ac3b80e3d3e4680aa86da"
 
+    # sha256 of cold `table` stdout, recorded before the row kernel evaluated
+    # blocks of n, so that every byte of a row is pinned, not only its values.
+    TABLE_DIGESTS = {
+        "--fn M --m 3 --n-max 2000":
+            "737c7966839f0e127a71939e34a0fdb16652ca4f37c697e73d21031fbb60f09a",
+        "--fn p --n-max 2000":
+            "2c46a64083aa381e0ede76adf3a3e178a868868a5a799465b9fbef21277caa09",
+        "--fn o --n-max 2000":
+            "a612ce6c1b02583c24d8d2db1de079fd054c24c9cc8a2a12e38ec41e447ed771",
+        "--fn M --m 3 --n-max 2000 --format json":
+            "edc1616c8ae5f987a39fd786756d3bac4bd219bb0952b826951a446c73ffc105",
+    }
+
     @staticmethod
-    def verify_stdout_digest(*args):
+    def stdout_digest(*args):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop(cli.ENV_BUDGET, None)
         result = subprocess.run(
-            [sys.executable, "-m", "mexcrank", "verify", *args],
+            [sys.executable, "-m", "mexcrank", *args],
             capture_output=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
         return hashlib.sha256(result.stdout).hexdigest()
 
     @pytest.mark.parametrize("fmt", sorted(DIGESTS))
     def test_default_verify_stdout_digest(self, fmt):
-        assert self.verify_stdout_digest("--format", fmt) == self.DIGESTS[fmt]
+        assert self.stdout_digest("verify", "--format", fmt) == self.DIGESTS[fmt]
 
     def test_override_verify_stdout_digest(self):
-        digest = self.verify_stdout_digest("--format", "json", *self.OVERRIDES)
+        digest = self.stdout_digest("verify", "--format", "json", *self.OVERRIDES)
         assert digest == self.OVERRIDE_DIGEST
+
+    @pytest.mark.parametrize("args", sorted(TABLE_DIGESTS))
+    def test_table_stdout_digest(self, args):
+        assert self.stdout_digest("table", *args.split()) == self.TABLE_DIGESTS[args]
 
 
 class TestEntryPoints:
