@@ -13,11 +13,19 @@ import csv
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import counting, partitions, qseries, verify
 
 ENV_BUDGET = "MEXCRANK_BUDGET"
+
+# The largest table --n-max and series --order accepted, so that a huge value
+# is a usage error and not a hang or a MemoryError.  Both costs grow faster
+# than n^1.5; cold, on 2 CPUs with Python 3.11.7, the costliest row (M) takes
+# about 5 s and 31 MB at n_max = 100000, and the costliest series (crank0_alt)
+# about 12 s at order 20000.  The library itself takes any size.
+TABLE_N_MAX = 100_000
+SERIES_ORDER_MAX = 20_000
 
 _TABLE_FNS = ("p", "q", "M", "crank_geq", "x_mex", "o", "e", "o1", "o3")
 
@@ -42,15 +50,16 @@ def _json_dump(payload: object) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_rows(rows: list[dict], columns: tuple[str, str], args: argparse.Namespace) -> None:
+def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
+               args: argparse.Namespace) -> None:
+    # rows are (n, value) pairs; CSV streams them, JSON dumps them at once.
     if args.format == "json":
-        _json_dump(rows)
+        _json_dump([{columns[0]: n, columns[1]: str(value)} for n, value in rows])
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if not args.no_header:
         writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[column] for column in columns])
+    writer.writerows(rows)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -73,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--m", type=int, default=0, help="crank value for M, mex value for x_mex")
     table.add_argument("--j", type=int, default=0, help="lower crank bound for crank_geq")
     table.add_argument("--n-max", dest="n_max", type=int, default=100,
-                       help="largest n (default: 100)")
+                       help=f"largest n, at most {TABLE_N_MAX} (default: 100)")
     _add_output_flags(table)
 
     series = sub.add_parser("series", help="expand a named generating function")
@@ -86,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--b", type=int, default=0,
                         help=f"rectangle offset for {_kinds_taking('b')}")
     series.add_argument("--order", type=int, default=200,
-                        help="truncation order (default: 200)")
+                        help=f"truncation order, at most {SERIES_ORDER_MAX} (default: 200)")
     _add_output_flags(series)
 
     stat = sub.add_parser("stat", help="statistics of one partition given by its parts")
@@ -111,34 +120,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.n_max < 0:
-        return _fail(f"--n-max must be nonnegative, got {args.n_max}")
+    if not 0 <= args.n_max <= TABLE_N_MAX:
+        return _fail(f"--n-max must be in 0..{TABLE_N_MAX}, got {args.n_max}")
     fn = args.fn
     if fn == "x_mex" and args.m < 1:
         return _fail("--fn x_mex requires --m >= 1")
     if fn == "crank_geq" and args.j < 0:
         return _fail("--fn crank_geq requires --j >= 0")
     if fn == "q":
+        partitions.distinct_parts_count(args.n_max)  # grow the q table in one call
         values = map(partitions.distinct_parts_count, range(args.n_max + 1))
     else:
         values = counting.table_row(fn, args.j if fn == "crank_geq" else args.m, args.n_max)
-    rows = [{"n": n, "value": str(value)} for n, value in enumerate(values)]
-    _emit_rows(rows, ("n", "value"), args)
+    _emit_rows(enumerate(values), ("n", "value"), args)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        return _fail(f"--order must be nonnegative, got {args.order}")
+    if not 0 <= args.order <= SERIES_ORDER_MAX:
+        return _fail(f"--order must be in 0..{SERIES_ORDER_MAX}, got {args.order}")
     tag = _SERIES_TAGS[args.kind]
     param = qseries.GF_KINDS[tag][0]
     try:
         kind = qseries.GfKind(tag, None if param is None else getattr(args, param))
     except qseries.InvalidParamsError as exc:
         return _fail(str(exc))
-    series = qseries.gf(kind, args.order)
-    rows = [{"n": n, "coefficient": str(series[n])} for n in range(args.order + 1)]
-    _emit_rows(rows, ("n", "coefficient"), args)
+    _emit_rows(enumerate(qseries.gf(kind, args.order).coeffs), ("n", "coefficient"), args)
     return 0
 
 

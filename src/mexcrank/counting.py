@@ -3,11 +3,21 @@
 Each count is a classical formula sum_i c_i p(n - g_i), the "fast side" that
 :mod:`mexcrank.verify` plays against a brute-force count.  Its terms come as
 a stream of (offset g, coefficient c) pairs whose offsets never decrease,
-and one kernel, :func:`_count`, sums c p(n - g) over a stream up to its first
-offset past n, reading p from the shared table.  Each public function is its
-argument checks plus its stream through the kernel; :func:`table_row` runs
-the kernel at n = 0..N over a stream materialized once up to N.  The streams,
-with t_i = i(i + 1)/2:
+and two kernels sum a stream, both reading p from the shared table:
+
+* the per-n kernel, :func:`_count`, sums c p(n - g) at one n, up to the
+  first offset past n.  Each public function is its argument checks plus
+  its stream through this kernel, and :mod:`mexcrank.verify` calls them;
+* the row kernel, :func:`table_row`, gives the whole row n = 0..N of a
+  ``table`` stream one block of n at a time, adding each term's slice of the
+  p table into the block at C speed.  A 20001-entry M(m, n) row takes about
+  0.2 s in process, half the time of the per-n kernel at every n.
+
+Both exist because their callers differ.  A row computed value by value
+pays Python's per-term overhead 5 million times at N = 20000.  A per-n call
+wants one value, and the row kernel at block width 1 would pay a slice, a
+map and a slice assignment per term instead of one multiply-add, which
+would slow ``verify``.  The streams, with t_i = i(i + 1)/2:
 
 * M(m, n): k(k + 2|m| - 1)/2 with (-1)^(k+1), then k(k + 2|m| + 1)/2 with
   (-1)^k, for k >= 1; crank >= j: k(k - 1)/2 + kj with (-1)^(k+1);
@@ -27,12 +37,16 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, chain, count, cycle, islice, takewhile
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .partitions import shared_partition_table
 
 Terms = Iterable[tuple[int, int]]
+
+# How many n the row kernel evaluates at once; widths from 128 to 2048 time
+# the same on a 20000-entry row.
+_ROW_BLOCK = 512
 
 
 def triangular(k: int) -> int:
@@ -88,10 +102,26 @@ STREAMS: dict[str, Callable[[int], Terms]] = {
 
 def table_row(fn: str, param: int, n_max: int) -> Iterator[int]:
     """Row n = 0..n_max of the ``table --fn fn`` stream ``STREAMS[fn](param)``
-    (param is m for M and x_mex, j for crank_geq, unused otherwise): the
-    kernel at each n in turn over the stream, materialized once up to n_max."""
+    (param is m for M and x_mex, j for crank_geq, unused otherwise).
+
+    The row kernel: the stream is materialized once up to n_max, and the
+    row is evaluated one block of n at a time, each term (g, c) adding or
+    subtracting (every ``STREAMS`` coefficient is +1 or -1) the slice
+    p[lo - g : hi - g] into the block [lo, hi).  Only one block of values
+    is alive at a time.
+    """
     terms = list(takewhile(lambda term: term[0] <= n_max, STREAMS[fn](param)))
-    return (_count(n, terms) for n in range(n_max + 1))
+    p = shared_partition_table(n_max)
+    for lo in range(0, n_max + 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n_max + 1)
+        block = [0] * (hi - lo)
+        for g, c in terms:
+            if g >= hi:
+                break
+            start = max(lo, g)  # the first n of the block with n - g >= 0
+            block[start - lo:] = map(add if c > 0 else sub, block[start - lo:],
+                                     p[start - g:hi - g])
+        yield from block
 
 
 def crank_count(m: int, n: int) -> int:

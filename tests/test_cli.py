@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mexcrank import cli
+from mexcrank import cli, partitions
 from mexcrank.qseries import GfKind, gf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -367,6 +367,44 @@ class TestVerify:
         assert payload["reports"][0]["first_counterexample"]["params"] == {"k": 5}
         assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert "FAIL" in err
+
+
+class TestCeilings:
+    # Sizes past the ceilings are usage errors, raised before any table
+    # grows: without them these runs hang or die with a MemoryError.
+    @pytest.mark.parametrize("args", [
+        ("table", "--fn", "p", "--n-max", str(10**11)),
+        ("table", "--fn", "q", "--n-max", str(cli.TABLE_N_MAX + 1)),
+        ("series", "--kind", "euler_inv", "--order", str(10**11)),
+        ("series", "--kind", "crank0_alt", "--order", str(cli.SERIES_ORDER_MAX + 1)),
+    ])
+    def test_past_ceiling_exits_two_at_once(self, args):
+        result = subprocess.run(
+            [sys.executable, "-m", "mexcrank", *args], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=5)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "must be in 0.." in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, flag, ceiling", [
+        (("table", "--fn", "p"), "--n-max", "TABLE_N_MAX"),
+        (("series", "--kind", "euler_inv"), "--order", "SERIES_ORDER_MAX"),
+    ])
+    def test_ceiling_is_inclusive(self, command, flag, ceiling, capsys, monkeypatch):
+        monkeypatch.setattr(cli, ceiling, 5)
+        assert run_cli([*command, flag, "5"], capsys)[0] == 0
+        monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
+        monkeypatch.setattr(partitions, "_DISTINCT_TABLE", [1])
+        code, out, err = run_cli([*command, flag, "6"], capsys)
+        assert (code, out) == (2, "")
+        assert f"{flag} must be in 0..5, got 6" in err
+        assert partitions._PARTITION_TABLE == partitions._DISTINCT_TABLE == [1]
+
+    def test_help_states_ceilings(self):
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert str(cli.TABLE_N_MAX) in commands.choices["table"].format_help()
+        assert str(cli.SERIES_ORDER_MAX) in commands.choices["series"].format_help()
 
 
 class TestGoldenOutput:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 import pytest
 
+from mexcrank import counting
 from mexcrank.counting import (
     STREAMS,
     crank_count,
@@ -192,11 +195,37 @@ def test_streams_cover_every_table_fn_but_q():
     assert set(STREAMS) == set(PER_N) == set(_TABLE_FNS) - {"q"}
 
 
-@pytest.mark.parametrize("fn, param", [
+ROWS = [
     *((fn, 0) for fn in ("p", "o", "e", "o1", "o3")),
     *(("M", m) for m in range(-3, 13)),
     *(("crank_geq", j) for j in range(6)),
     *(("x_mex", m) for m in range(1, 7)),
-])
+]
+
+
+@pytest.mark.parametrize("fn, param", ROWS)
 def test_table_row_matches_per_n(fn, param):
     assert list(table_row(fn, param, 300)) == [PER_N[fn](param, n) for n in range(301)]
+
+
+@pytest.mark.parametrize("fn, param", ROWS)
+def test_table_row_across_block_boundaries(fn, param, monkeypatch):
+    # A narrow block puts every kind of boundary within a few n: a row that
+    # ends just before, at and after one, and terms that start mid-block.
+    width = 7
+    monkeypatch.setattr(counting, "_ROW_BLOCK", width)
+    for n_max in (0, width - 1, width, width + 1, 3 * width + 2):
+        expected = [PER_N[fn](param, n) for n in range(n_max + 1)]
+        assert list(table_row(fn, param, n_max)) == expected, n_max
+
+
+def test_table_row_past_two_default_blocks():
+    n_max = 2 * counting._ROW_BLOCK + 1
+    assert list(table_row("M", 3, n_max)) == [crank_count(3, n) for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("fn, param", ROWS)
+def test_row_coefficients_are_units(fn, param):
+    # The row kernel adds or subtracts each term's slice of p.
+    terms = takewhile(lambda term: term[0] <= 300, STREAMS[fn](param))
+    assert all(c in (1, -1) for _, c in terms)

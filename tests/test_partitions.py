@@ -153,6 +153,18 @@ class TestCountingTables:
         assert partitions.shared_partition_table(7) is table
         assert partitions.shared_partition_table(-1) is table
 
+    def test_hits_build_no_offsets(self, monkeypatch):
+        partitions.shared_partition_table(50)
+        distinct_parts_count(50)
+
+        def offsets(limit):
+            raise AssertionError(f"offsets built for a hit at {limit}")
+
+        monkeypatch.setattr(partitions, "_pentagonal", offsets)
+        assert partition_count(50) == 204226
+        assert partitions.shared_partition_table(50)[50] == 204226
+        assert distinct_parts_count(50) == 3658
+
     def test_distinct_matches_enumeration(self):
         for n in range(26):
             by_hand = sum(
