@@ -270,25 +270,26 @@ _PARTITION_TABLE: list[int] = [1]
 _DISTINCT_TABLE: list[int] = [1]
 
 
-def _pentagonal(limit: int) -> Iterator[tuple[int, int]]:
-    # The generalized pentagonal numbers k(3k -+ 1)/2 <= limit for k >= 1,
-    # ascending, each with (-1)^(k+1).
-    k, g = 1, 1
+def _pentagonal(limit: int) -> tuple[list[int], list[int]]:
+    # The generalized pentagonal numbers k(3k -+ 1)/2 for k >= 1, split by
+    # the sign (-1)^(k+1) into two ascending lists that hold every one up to
+    # limit (the last may pass it).
+    plus: list[int] = []
+    minus: list[int] = []
+    k, g = 1, 1  # g = k(3k - 1)/2
     while g <= limit:
-        sign = 1 if k % 2 else -1
-        yield g, sign
-        if g + k <= limit:
-            yield g + k, sign
+        (plus if k % 2 else minus).extend((g, g + k))
         k += 1
         g += 3 * k - 2
+    return plus, minus
 
 
 def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int],
-          scale: int = 1, forcing: Mapping[int, int] = MappingProxyType({})) -> None:
+          scale: int, forcing: Mapping[int, int]) -> None:
     # Append, for n = len(table)..limit,
     #   scale * (sum_(g in plus) table[n - g] - sum_(g in minus) table[n - g])
     #   + forcing.get(n, 0),
-    # where plus and minus ascend and each offset g > n is left out.
+    # where plus and minus ascend and the offsets past n are left out.
     for n in range(len(table), limit + 1):
         acc = 0
         for g in plus:
@@ -303,15 +304,15 @@ def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int
 
 
 def _grow_partitions(table: list[int], limit: int) -> None:
-    pentagonal = list(_pentagonal(limit))
-    _grow(table, limit, [g for g, sign in pentagonal if sign > 0],
-          [g for g, sign in pentagonal if sign < 0])
+    plus, minus = _pentagonal(limit)
+    _grow(table, limit, plus, minus, 1, {})
 
 
 def _grow_distinct(table: list[int], limit: int) -> None:
     squares = [k * k for k in range(1, isqrt(max(limit, 0)) + 1)]
+    plus, minus = _pentagonal(limit)
     _grow(table, limit, squares[::2], squares[1::2], 2,
-          {g: -sign for g, sign in _pentagonal(limit)})
+          dict.fromkeys(minus, 1) | dict.fromkeys(plus, -1))
 
 
 def partition_count_table(limit: int) -> list[int]:
