@@ -128,7 +128,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if fn == "crank_geq" and args.j < 0:
         return _fail("--fn crank_geq requires --j >= 0")
     if fn == "q":
-        partitions.distinct_parts_count(args.n_max)  # grow the q table in one call
         values = map(partitions.distinct_parts_count, range(args.n_max + 1))
     else:
         values = counting.table_row(fn, args.j if fn == "crank_geq" else args.m, args.n_max)

@@ -12,9 +12,10 @@ cross-checks in :mod:`mexcrank.verify` meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import isqrt
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class UndefinedMexError(ValueError):
@@ -258,11 +259,12 @@ def partition_statistics(n: int) -> PartitionStatistics:
 # with e(n) = (-1)^j when n = j(3j+-1)/2 and 0 otherwise, by Gauss's
 # sum_k (-1)^k q^(k^2) = (q;q)_inf / (-q;q)_inf.  Neither route is the
 # product (q^2;q^2)_inf / (q;q)_inf that mexcrank.qseries builds q(n) from,
-# so the q(n) cross-checks compare two independent computations.  Each
-# growth call splits the offsets up to its limit into the ones added and the
-# ones subtracted, once, so an entry costs one big-integer addition per
-# offset and nothing else; growing the p table to 20000 takes about 0.14 s,
-# and a value already in a table costs one index.  The shared tables are
+# so the q(n) cross-checks compare two independent computations.  Both
+# tables grow through one helper, _grow, which reads the offsets split into
+# the ones added and the ones subtracted, so an entry costs one big-integer
+# addition per offset and nothing else: growing the p table to 20000 takes
+# about 0.14 s on 2 CPUs.  A value already in a table costs a length check
+# and one index, and never reaches _grow.  The shared tables are
 # only appended to under the GIL, so concurrent reads are safe once a build
 # call has returned; writers must not race with each other (the CLI and
 # harness build single-threaded).
@@ -270,26 +272,45 @@ _PARTITION_TABLE: list[int] = [1]
 _DISTINCT_TABLE: list[int] = [1]
 
 
-def _pentagonal(limit: int) -> tuple[list[int], list[int]]:
+def _pentagonal(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # The generalized pentagonal numbers k(3k -+ 1)/2 for k >= 1, split by
-    # the sign (-1)^(k+1) into two ascending lists that hold every one up to
-    # limit (the last may pass it).
+    # the sign (-1)^(k+1) into two ascending tuples that hold every one up to
+    # bound (the last may pass it).
     plus: list[int] = []
     minus: list[int] = []
     k, g = 1, 1  # g = k(3k - 1)/2
-    while g <= limit:
+    while g <= bound:
         (plus if k % 2 else minus).extend((g, g + k))
         k += 1
         g += 3 * k - 2
-    return plus, minus
+    return tuple(plus), tuple(minus)
 
 
-def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int],
-          scale: int, forcing: Mapping[int, int]) -> None:
+# A recurrence maps a bound to (plus, minus, scale, forcing): the offsets
+# added and the offsets subtracted, ascending and holding every one up to
+# the bound, the factor on their sum, and e(n) as a mapping.  The bound is a
+# power of two, so a table grown one entry at a time, as verify grows it,
+# splits its offsets once per doubling, and each cache holds at most one
+# entry per power of two up to the largest n asked for.
+@cache
+def _partition_recurrence(bound: int) -> tuple:
+    return (*_pentagonal(bound), 1, MappingProxyType({}))
+
+
+@cache
+def _distinct_recurrence(bound: int) -> tuple:
+    squares = tuple(k * k for k in range(1, isqrt(bound) + 1))
+    plus, minus = _pentagonal(bound)
+    return (squares[::2], squares[1::2], 2,
+            MappingProxyType(dict.fromkeys(minus, 1) | dict.fromkeys(plus, -1)))
+
+
+def _grow(table: list[int], limit: int, recurrence: Callable[[int], tuple]) -> None:
     # Append, for n = len(table)..limit,
     #   scale * (sum_(g in plus) table[n - g] - sum_(g in minus) table[n - g])
     #   + forcing.get(n, 0),
-    # where plus and minus ascend and the offsets past n are left out.
+    # leaving out the offsets past n.
+    plus, minus, scale, forcing = recurrence(1 << max(limit, 0).bit_length())
     for n in range(len(table), limit + 1):
         acc = 0
         for g in plus:
@@ -303,18 +324,6 @@ def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int
         table.append(scale * acc + forcing.get(n, 0))
 
 
-def _grow_partitions(table: list[int], limit: int) -> None:
-    plus, minus = _pentagonal(limit)
-    _grow(table, limit, plus, minus, 1, {})
-
-
-def _grow_distinct(table: list[int], limit: int) -> None:
-    squares = [k * k for k in range(1, isqrt(max(limit, 0)) + 1)]
-    plus, minus = _pentagonal(limit)
-    _grow(table, limit, squares[::2], squares[1::2], 2,
-          dict.fromkeys(minus, 1) | dict.fromkeys(plus, -1))
-
-
 def partition_count_table(limit: int) -> list[int]:
     """Fresh list of p(0..limit) computed by the pentagonal recurrence.
 
@@ -322,7 +331,7 @@ def partition_count_table(limit: int) -> list[int]:
     computation is wanted (timing, cross-checks).
     """
     table = [1]
-    _grow_partitions(table, limit)
+    _grow(table, limit, _partition_recurrence)
     return table
 
 
@@ -332,7 +341,7 @@ def shared_partition_table(limit: int) -> Sequence[int]:
     Read only: callers index it and never change it.
     """
     if limit >= len(_PARTITION_TABLE):
-        _grow_partitions(_PARTITION_TABLE, limit)
+        _grow(_PARTITION_TABLE, limit, _partition_recurrence)
     return _PARTITION_TABLE
 
 
@@ -341,7 +350,7 @@ def partition_count(n: int) -> int:
     if n < 0:
         return 0
     if n >= len(_PARTITION_TABLE):
-        _grow_partitions(_PARTITION_TABLE, n)
+        _grow(_PARTITION_TABLE, n, _partition_recurrence)
     return _PARTITION_TABLE[n]
 
 
@@ -350,7 +359,7 @@ def distinct_parts_count(n: int) -> int:
     if n < 0:
         return 0
     if n >= len(_DISTINCT_TABLE):
-        _grow_distinct(_DISTINCT_TABLE, n)
+        _grow(_DISTINCT_TABLE, n, _distinct_recurrence)
     return _DISTINCT_TABLE[n]
 
 

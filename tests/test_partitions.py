@@ -153,17 +153,19 @@ class TestCountingTables:
         assert partitions.shared_partition_table(7) is table
         assert partitions.shared_partition_table(-1) is table
 
-    def test_hits_build_no_offsets(self, monkeypatch):
+    def test_hits_do_not_grow(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
+        monkeypatch.setattr(partitions, "_DISTINCT_TABLE", [1])
         partitions.shared_partition_table(50)
         distinct_parts_count(50)
 
-        def offsets(limit):
-            raise AssertionError(f"offsets built for a hit at {limit}")
+        def grow(table, limit, recurrence):
+            raise AssertionError(f"a hit at {limit} reached the growth helper")
 
-        monkeypatch.setattr(partitions, "_pentagonal", offsets)
-        assert partition_count(50) == 204226
-        assert partitions.shared_partition_table(50)[50] == 204226
+        monkeypatch.setattr(partitions, "_grow", grow)
+        assert partition_count(50) == partitions.shared_partition_table(50)[50] == 204226
         assert distinct_parts_count(50) == 3658
+        assert partitions.shared_partition_table(-1)[0] == partition_count(0) == 1
 
     def test_distinct_matches_enumeration(self):
         for n in range(26):
