@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import takewhile
-
 import pytest
 
 from mexcrank import counting
@@ -222,10 +220,3 @@ def test_table_row_across_block_boundaries(fn, param, monkeypatch):
 def test_table_row_past_two_default_blocks():
     n_max = 2 * counting._ROW_BLOCK + 1
     assert list(table_row("M", 3, n_max)) == [crank_count(3, n) for n in range(n_max + 1)]
-
-
-@pytest.mark.parametrize("fn, param", ROWS)
-def test_row_coefficients_are_units(fn, param):
-    # The row kernel adds or subtracts each term's slice of p.
-    terms = takewhile(lambda term: term[0] <= 300, STREAMS[fn](param))
-    assert all(c in (1, -1) for _, c in terms)
