@@ -434,6 +434,19 @@ class TestGoldenOutput:
             "edc1616c8ae5f987a39fd786756d3bac4bd219bb0952b826951a446c73ffc105",
     }
 
+    # sha256 of cold `series` stdout for the kinds built by the running sum,
+    # recorded before it was evaluated from the innermost term outwards.
+    SERIES_DIGESTS = {
+        "--kind crank0_alt --order 600":
+            "bc1171b6ec772fa3d412d7ee28cf7e279134c680d7f47538ca98a317f8f76c47",
+        "--kind frob_no0 --order 600":
+            "06aa273c5583d38b2fa2878ba3049948a04ad8fabef75bb0e5361bedfb994a26",
+        "--kind durfee_rect --b 3 --order 600":
+            "ea8e5130d2e4c3323b353ac55f81142b6764898773ca0de15871d709e8577496",
+        "--kind durfee_rect --b 0 --order 500":
+            "2b17c3275369c714fb1ec9e23ff4adbc0a37bb3eb7d8e53ef8defb21a7679f15",
+    }
+
     @staticmethod
     def stdout_digest(*args):
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -455,6 +468,10 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("args", sorted(TABLE_DIGESTS))
     def test_table_stdout_digest(self, args):
         assert self.stdout_digest("table", *args.split()) == self.TABLE_DIGESTS[args]
+
+    @pytest.mark.parametrize("args", sorted(SERIES_DIGESTS))
+    def test_series_stdout_digest(self, args):
+        assert self.stdout_digest("series", *args.split()) == self.SERIES_DIGESTS[args]
 
 
 class TestEntryPoints:
