@@ -12,10 +12,12 @@ private kernels, one per shape of series:
   (q;q)_inf.  Those quotients are solved by pentagonal division, one
   coefficient at a time with O(sqrt(N)) terms each, so they cost
   O(N*sqrt(N)) rather than a dense O(N^2) product.
-* ``_running_sum`` adds up sum_s q^e(s) / ((q)_s (q)_(s+b)) with one running
-  factor, cut to N - e(s) before each division by (1 - q^k).  It serves the
-  zero-free Frobenius series, the Durfee-rectangle decompositions and the
-  Heine sum behind ``crank0_alt``.
+* ``_running_sum`` evaluates sum_s q^e(s) / ((q)_s (q)_(s+b)) by Horner's
+  rule, from the last term with e(s) <= N outwards, on one tail cut to
+  N - e(s): each step divides it by the (1 - q^k) of term s and prepends
+  1 and the gap down to e(s-1), so no pass adds terms into a total.  It
+  serves the zero-free Frobenius series, the Durfee-rectangle decompositions
+  and the Heine sum behind ``crank0_alt``.
 
 The partition series alone is the *inverted* pentagonal product, so its
 coefficients arrive by a different route than the recurrence in
@@ -27,7 +29,8 @@ so the truncation is finite and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count, takewhile
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -191,9 +194,12 @@ def pochhammer_finite(k: int, order: int) -> TruncatedSeries:
 
 
 # In-place primitives on coefficient lists.  Multiplying by (1 - q^k) reads
-# below the write index, so it walks downward; dividing (the geometric
-# expansion of 1/(1 - q^k)) reads already-updated entries, so it walks up,
-# one block of k entries at a time: a block reads only the block below it.
+# below the write index, so it walks downward.  Dividing (the geometric
+# expansion of 1/(1 - q^k)) makes each residue class mod k a running sum.
+# For small k (k * k < len) that is k C-level accumulates over the strided
+# classes; otherwise it walks up one block of k entries at a time, a block
+# reading only the block below it.  Either way there are at most sqrt(len)
+# slice operations per division.
 
 def _mul_one_minus_qk(coeffs: list[int], k: int) -> None:
     for i in range(len(coeffs) - 1, k - 1, -1):
@@ -201,8 +207,12 @@ def _mul_one_minus_qk(coeffs: list[int], k: int) -> None:
 
 
 def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
-    for i in range(k, len(coeffs), k):
-        coeffs[i:i + k] = [c + d for c, d in zip(coeffs[i:i + k], coeffs[i - k:i])]
+    if k * k < len(coeffs):
+        for r in range(k):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+    else:
+        for i in range(k, len(coeffs), k):
+            coeffs[i:i + k] = map(add, coeffs[i:i + k], coeffs[i - k:i])
 
 
 # --- named generating functions -------------------------------------------
@@ -344,19 +354,23 @@ def _running_sum(order: int, start: Iterable[int], exponent: Callable[[int], int
     """sum_{s>=0} q^exponent(s) * R_s to the order, where R_0 is 1 over the
     (1 - q^k) for k in start, and R_s is R_(s-1) over those for k in factors(s).
 
-    The exponents must increase.  Term s reads R_s only up to index
-    order - exponent(s), so the running factor is cut there before dividing.
+    The exponents must increase.  The sum is evaluated from its last term
+    with exponent <= order outwards (Horner): T_last = 1, and
+    T_(s-1) = 1 + q^(exponent(s) - exponent(s-1)) * T_s over the factors(s),
+    each T_s held only to order - exponent(s).  The result is q^exponent(0)
+    times T_0 over the start factors.
     """
-    out = [0] * (order + 1)
-    running = [1] + [0] * order
-    for s in count():
-        e = exponent(s)
-        if e > order:
-            return TruncatedSeries(out)
-        del running[order - e + 1:]
-        for k in factors(s) if s else start:
-            _div_one_minus_qk(running, k)
-        out[e:] = [o + r for o, r in zip(out[e:], running)]
+    exponents = list(takewhile(lambda e: e <= order, map(exponent, count())))
+    if not exponents:
+        return zero(order)
+    tail = [1] + [0] * (order - exponents[-1])
+    for s in range(len(exponents) - 1, 0, -1):
+        for k in factors(s):
+            _div_one_minus_qk(tail, k)
+        tail[:0] = [1] + [0] * (exponents[s] - exponents[s - 1] - 1)
+    for k in start:
+        _div_one_minus_qk(tail, k)
+    return TruncatedSeries([0] * exponents[0] + tail)
 
 
 def _gf_poch_q_inf(order: int) -> TruncatedSeries:

@@ -12,6 +12,8 @@ from mexcrank.qseries import (
     InvalidParamsError,
     NonUnitError,
     TruncatedSeries,
+    _div_one_minus_qk,
+    _running_sum,
     gf,
     one,
     pochhammer_finite,
@@ -351,3 +353,67 @@ class TestPentagonalDivisionRoutes:
         for order in RUNNING_SUM_ORDERS:
             expected = TruncatedSeries((1, -1), order) * gf(GfKind.frob_no0(), order)
             assert gf(GfKind.crank0_alt(), order) == expected, order
+
+
+# The running sum and its division primitive against term-by-term references
+# that share no code with them.
+
+def geometric_division(coeffs: list[int], k: int) -> list[int]:
+    """coeffs times 1 + q^k + q^2k + ..., to the same length."""
+    return [sum(coeffs[i::-k]) for i in range(len(coeffs))]
+
+
+def accumulating_running_sum(order, start, exponent, factors) -> TruncatedSeries:
+    """sum_s q^exponent(s) * R_s, adding each term to the total in turn, with
+    the running factor R_s kept at full length."""
+    out = [0] * (order + 1)
+    running = [1] + [0] * order
+    s = 0
+    while exponent(s) <= order:
+        for k in factors(s) if s else start:
+            running = geometric_division(running, k)
+        e = exponent(s)
+        for i in range(e, order + 1):
+            out[i] += running[i - e]
+        s += 1
+    return TruncatedSeries(out)
+
+
+# The start factors, exponent and factors of frob_no0, of the sum inside
+# crank0_alt and of durfee_rect_b for b in 0, 1, 3, 7.
+RUNNING_SUM_CASES = {
+    "frob_no0": ((), lambda s: s * s + 2 * s, lambda s: (s, s)),
+    "crank0_alt_sum": ((), lambda k: 2 * k, lambda k: (k, k)),
+    **{f"durfee_rect_b{b}": (range(1, b + 1), lambda s, b=b: s * s + b * s,
+                             lambda s, b=b: (s, s + b))
+       for b in (0, 1, 3, 7)},
+}
+
+
+class TestRunningSum:
+    @pytest.mark.parametrize("case", sorted(RUNNING_SUM_CASES))
+    def test_matches_accumulating_reference(self, case):
+        for order in RUNNING_SUM_ORDERS:
+            args = (order, *RUNNING_SUM_CASES[case])
+            assert _running_sum(*args) == accumulating_running_sum(*args), order
+
+    def test_order_below_first_exponent_is_zero(self):
+        for order in range(5):
+            series = _running_sum(order, (1, 2), lambda s: s + 5, lambda s: (s,))
+            assert series == zero(order)
+
+    def test_order_zero_is_first_term_constant(self):
+        assert _running_sum(0, (1, 2), lambda s: s, lambda s: (s,)) == one(0)
+
+
+class TestDivOneMinusQk:
+    # k * k < len takes the residue-class branch, the rest the block walk;
+    # k up to len + 2 covers k * k == len and k >= len.
+    def test_matches_geometric_expansion(self):
+        rng = random.Random(8)
+        for length in range(41):
+            for k in range(1, length + 3):
+                coeffs = [rng.randint(-9, 9) for _ in range(length)]
+                expected = geometric_division(coeffs, k)
+                _div_one_minus_qk(coeffs, k)
+                assert coeffs == expected, (length, k)
