@@ -28,6 +28,18 @@ ENV_BUDGET = "MEXCRANK_BUDGET"
 TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
+# The same for verify.  --n-max and --order size the same series and closed
+# forms as table and series do: at 20000 the costliest check takes about 40 s
+# and 470 MB (CRANK_GF_CONSISTENCY under --n-max, COR_CRANKRECUR under
+# --order), and all 14 checks take about 122 s and 827 MB at --n-max 20000
+# and 79 s and 674 MB at --order 20000.  --budget (or MEXCRANK_BUDGET) is how
+# far the enumeration reaches, and its cost grows with p(n): --check
+# PROP_MEXFORM --n-max 50 --budget 50 takes about 5.2 s and 18 MB, and 12.4 s
+# at 55; p(80) alone is 15.8M partitions.
+VERIFY_N_MAX = 20_000
+VERIFY_ORDER_MAX = 20_000
+VERIFY_BUDGET_MAX = 50
+
 _TABLE_FNS = ("p", "q", "M", "crank_geq", "x_mex", "o", "e", "o1", "o3")
 
 # --kind spellings that differ from their generating-function tag; every
@@ -104,17 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="parts of the partition, any order; empty for the empty partition")
 
     vrf = sub.add_parser("verify", help="run identity checks from the registry")
-    vrf.add_argument("--all", dest="run_all", action="store_true",
-                     help="run every registered check (default when no --check is given)")
-    vrf.add_argument("--check", dest="checks", action="append", metavar="ID",
-                     help="check id to run; may be repeated")
+    selection = vrf.add_mutually_exclusive_group()
+    selection.add_argument("--all", dest="run_all", action="store_true",
+                           help="run every registered check (default when no --check is given)")
+    selection.add_argument("--check", dest="checks", action="append", metavar="ID",
+                           help="check id to run; may be repeated")
     vrf.add_argument("--n-max", dest="n_max", type=int, default=None,
-                     help="override each check's main scan range")
+                     help=f"override each check's main scan range, at most {VERIFY_N_MAX}")
     vrf.add_argument("--order", type=int, default=None,
-                     help="override the series truncation order")
+                     help=f"override the series truncation order, at most {VERIFY_ORDER_MAX}")
     vrf.add_argument("--budget", type=int, default=None,
-                     help=f"enumeration cap (default: {verify.DEFAULT_BUDGET}, "
-                          f"or the {ENV_BUDGET} environment variable)")
+                     help=f"enumeration cap, at most {VERIFY_BUDGET_MAX} (default: "
+                          f"{verify.DEFAULT_BUDGET}, or the {ENV_BUDGET} environment variable)")
     _add_output_flags(vrf)
 
     return parser
@@ -171,19 +184,17 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 
 def _resolve_budget(args: argparse.Namespace) -> int:
-    if args.budget is not None:
-        if args.budget < 0:
-            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
-        return args.budget
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return verify.DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise ValueError(f"{ENV_BUDGET} must be nonnegative, got {budget}")
+    source, budget = "--budget", args.budget
+    if budget is None:
+        source, raw = ENV_BUDGET, os.environ.get(ENV_BUDGET)
+        if raw is None:
+            return verify.DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
+    if not 0 <= budget <= VERIFY_BUDGET_MAX:
+        raise ValueError(f"{source} must be in 0..{VERIFY_BUDGET_MAX}, got {budget}")
     return budget
 
 
@@ -192,10 +203,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         budget = _resolve_budget(args)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.n_max is not None and args.n_max < 0:
-        return _fail(f"--n-max must be nonnegative, got {args.n_max}")
-    if args.order is not None and args.order < 0:
-        return _fail(f"--order must be nonnegative, got {args.order}")
+    for flag, value, ceiling in (("--n-max", args.n_max, VERIFY_N_MAX),
+                                 ("--order", args.order, VERIFY_ORDER_MAX)):
+        if value is not None and not 0 <= value <= ceiling:
+            return _fail(f"{flag} must be in 0..{ceiling}, got {value}")
 
     available = verify.checks_by_id(args.n_max, budget=budget, order=args.order)
     if args.checks:

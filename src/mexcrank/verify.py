@@ -3,13 +3,14 @@
 The harness plays two independent computations against each other at every
 point of a parameter grid and demands exact integer equality.  One side is
 usually an exhaustive enumeration over partitions (the oracle), the other a
-closed form or a series coefficient.  A check is a tuple of legs, each a
-grid with its own pair of computations; a check with several legs (say,
-enumeration against the formula for small n, then series against the
-formula for large n) stamps each leg's name into its points as ``"side"``,
-and its records follow the legs in order.  Module discipline keeps the sides
-honest: oracle code in this file touches only :mod:`mexcrank.partitions`;
-the formula modules (:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are
+closed form or a series coefficient.  A check is a tuple of legs, each a grid
+with its own pair of computations; a check with several legs (say,
+enumeration against the formula for small n, then series against the formula
+for large n) stamps each leg's name into its points as ``"side"``, and its
+records follow the legs in order.  A check's points exist only while it runs,
+so unselected checks cost nothing.  Module discipline keeps the sides honest:
+oracle code in this file touches only :mod:`mexcrank.partitions`; the
+formula modules (:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are
 imported inside :func:`registry` so that neither side can lean on the other.
 
 Every oracle except :func:`oracle_count` reads one
@@ -125,24 +126,22 @@ def frobenius_top_avoids_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET)
 class Leg(NamedTuple):
     """Two computations compared at each of their own grid points, in order.
 
-    ``lhs`` and ``rhs`` map one point to an integer each.  ``side`` names
-    the leg within its check, or is None for a check of one leg; the
-    registry stamps it into every point of the leg as ``"side"``, so each
-    record says which leg produced it.
+    ``points()`` makes the leg's points afresh; ``lhs`` and ``rhs`` map one
+    point to an integer each.  ``side`` names the leg within its check, or is
+    None for a check of one leg; :attr:`grid` stamps it into every point as
+    ``"side"``, so each record says which leg produced it.
     """
 
     side: str | None
-    grid: tuple[Params, ...]
+    points: Callable[[], Iterable[Params]]
     lhs: Callable[[Params], int]
     rhs: Callable[[Params], int]
 
-
-def _leg(side: str | None, points: Iterable[Params],
-         lhs: Callable[[Params], int], rhs: Callable[[Params], int]) -> Leg:
-    # Stamped while the grid is built, so no second set of points is held.
-    if side is not None:
-        points = ({"side": side, **point} for point in points)
-    return Leg(side, tuple(points), lhs, rhs)
+    @property
+    def grid(self) -> Iterable[Params]:
+        if self.side is None:
+            return self.points()
+        return ({"side": self.side, **point} for point in self.points())
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,14 +224,14 @@ class VerificationReport:
 def run_check(check: IdentityCheck) -> VerificationReport:
     """Evaluate both sides at every grid point, leg by leg; exact equality
     everywhere.  Records come back in grid order."""
-    if not any(leg.grid for leg in check.legs):
-        raise ValueError(f"check {check.check_id} has an empty parameter grid")
     records = []
     for leg in check.legs:
         for point in leg.grid:
             lhs = leg.lhs(point)
             rhs = leg.rhs(point)
             records.append(CheckRecord(params=point, lhs=lhs, rhs=rhs, passed=lhs == rhs))
+    if not records:
+        raise ValueError(f"check {check.check_id} has an empty parameter grid")
     return VerificationReport(check.check_id, check.statement, tuple(records))
 
 
@@ -324,7 +323,8 @@ def registry(
         # grid, the enumeration is capped by the budget.
         sides = (side, "n1_oracle") if budget >= 1 else (side,)
         return tuple(
-            _leg(leg_side, ({param: value, "n": 1},), lhs, lambda p, pinned=pinned: pinned)
+            Leg(leg_side, lambda value=value: ({param: value, "n": 1},),
+                lhs, lambda p, pinned=pinned: pinned)
             for value, pair in values.items()
             for leg_side, lhs, pinned in zip(sides, (formula, oracle), pair)
         )
@@ -339,11 +339,11 @@ def registry(
             "having crank at least j; the enumeration crank agrees from n = 2 on, "
             "with the n = 1 values pinned explicitly."
         ), (
-            _leg("mex_oracle", ({"j": j, "n": n} for j in range(11) for n in range(top + 1)),
-                 lambda p: mex_above_odd_oracle(p["n"], p["j"], budget=budget),
-                 crank_geq_formula),
-            _leg("crank_oracle", ({"j": j, "n": n} for j in range(11) for n in range(2, top + 1)),
-                 crank_geq_enumerated, crank_geq_formula),
+            Leg("mex_oracle", lambda: ({"j": j, "n": n} for j in range(11) for n in range(top + 1)),
+                lambda p: mex_above_odd_oracle(p["n"], p["j"], budget=budget),
+                crank_geq_formula),
+            Leg("crank_oracle", lambda: ({"j": j, "n": n} for j in range(11) for n in range(2, top + 1)),
+                crank_geq_enumerated, crank_geq_formula),
             *pinned_n1("n1_series", "j", _N1_CRANK_GEQ, crank_geq_formula, crank_geq_enumerated),
         )),
         IdentityCheck("COR_CRANKRECUR", (
@@ -351,123 +351,123 @@ def registry(
             "counts partitions of n with crank m, matching enumeration for n >= 2 and "
             "the crank series coefficients everywhere, with the n = 1 values pinned."
         ), (
-            _leg("oracle", ({"m": m, "n": n} for m in range(-12, 13) for n in range(2, top + 1)),
-                 crank_enumerated, crank_formula),
-            _leg("series", ({"m": m, "n": n} for m in range(13) for n in range(series_top + 1)),
-                 lambda p: gf(qseries.GfKind.crank_m(p["m"]), series_top)[p["n"]],
-                 crank_formula),
+            Leg("oracle", lambda: ({"m": m, "n": n} for m in range(-12, 13) for n in range(2, top + 1)),
+                crank_enumerated, crank_formula),
+            Leg("series", lambda: ({"m": m, "n": n} for m in range(13) for n in range(series_top + 1)),
+                lambda p: gf(qseries.GfKind.crank_m(p["m"]), series_top)[p["n"]],
+                crank_formula),
             *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula, crank_enumerated),
         )),
         IdentityCheck("PROP_MEXFORM", (
             "Partitions of n with mex exactly m number p(n - t(m-1)) - p(n - t(m))."
         ), (
-            _leg(None, ({"m": m, "n": n} for m in range(1, 11) for n in range(top + 1)),
-                 lambda p: mex_value_oracle(p["n"], p["m"], budget=budget),
-                 lambda p: counting.mex_count(p["m"], p["n"])),
+            Leg(None, lambda: ({"m": m, "n": n} for m in range(1, 11) for n in range(top + 1)),
+                lambda p: mex_value_oracle(p["n"], p["m"], budget=budget),
+                lambda p: counting.mex_count(p["m"], p["n"])),
         )),
         IdentityCheck("COR_0CRANK", (
             "The crank-zero count equals p(n) + 2 sum_k (-1)^k p(n - t(k)), with "
             "head values 1, -1, 0, 1, 1, 1 and enumeration agreement from n = 2."
         ), (
-            _leg("expansion", ({"n": n} for n in range(span(300) + 1)),
-                 lambda p: counting.crank_zero_expansion(p["n"]), crank_zero_formula),
-            _leg("documented", ({"n": n} for n in range(len(_CRANK0_HEAD))),
-                 lambda p: counting.crank_zero_expansion(p["n"]),
-                 lambda p: _CRANK0_HEAD[p["n"]]),
-            _leg("oracle", ({"n": n} for n in range(2, top + 1)),
-                 lambda p: crank_value_oracle(p["n"], 0, budget=budget), crank_zero_formula),
+            Leg("expansion", lambda: ({"n": n} for n in range(span(300) + 1)),
+                lambda p: counting.crank_zero_expansion(p["n"]), crank_zero_formula),
+            Leg("documented", lambda: ({"n": n} for n in range(len(_CRANK0_HEAD))),
+                lambda p: counting.crank_zero_expansion(p["n"]),
+                lambda p: _CRANK0_HEAD[p["n"]]),
+            Leg("oracle", lambda: ({"n": n} for n in range(2, top + 1)),
+                lambda p: crank_value_oracle(p["n"], 0, budget=budget), crank_zero_formula),
         )),
         IdentityCheck("PROP_NOF0", (
             "The crank-zero count M(0,n) equals F(n) - F(n-1), where F counts "
             "partitions whose Frobenius symbol avoids 0 in both rows; in "
             "particular M(0,1) = -1 = F(1) - F(0)."
         ), (
-            _leg("series", ({"n": n} for n in range(series_top + 1)),
-                 frob_no0_step, crank_zero_formula),
-            _leg("oracle", ({"n": n} for n in range(min(top, series_top) + 1)),
-                 lambda p: frobenius_no0_oracle(p["n"], budget=budget), frob_no0_series),
+            Leg("series", lambda: ({"n": n} for n in range(series_top + 1)),
+                frob_no0_step, crank_zero_formula),
+            Leg("oracle", lambda: ({"n": n} for n in range(min(top, series_top) + 1)),
+                lambda p: frobenius_no0_oracle(p["n"], budget=budget), frob_no0_series),
         )),
         IdentityCheck("THM_FROB_J", (
             "Partitions of n with crank at least j are equinumerous with "
             "partitions of n - j whose Frobenius symbol has no j in its top row."
         ), (
-            _leg("series",
-                 ({"j": j, "n": n} for j in range(9) for n in range(j, series_top + 1)),
-                 lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["n"] - p["j"]],
-                 crank_geq_formula),
-            _leg("oracle",
-                 ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
-                 lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=budget),
-                 lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["w"]]),
+            Leg("series",
+                lambda: ({"j": j, "n": n} for j in range(9) for n in range(j, series_top + 1)),
+                lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["n"] - p["j"]],
+                crank_geq_formula),
+            Leg("oracle",
+                lambda: ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
+                lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=budget),
+                lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["w"]]),
         )),
         IdentityCheck("PROP_O13", (
             "Among partitions of n, those with mex = 1 mod 4 outnumber those "
             "with mex = 3 mod 4 by q(n/2) for even n and 0 for odd n."
         ), (
-            _leg("formula", ({"n": n} for n in range(1, o13_top + 1)),
-                 lambda p: counting.mex_1mod4_count(p["n"]) - counting.mex_3mod4_count(p["n"]),
-                 o13_rhs),
-            _leg("oracle", ({"n": n} for n in range(1, min(top, o13_top) + 1)),
-                 lambda p: (mex_residue_oracle(p["n"], 1, 4, budget=budget)
-                            - mex_residue_oracle(p["n"], 3, 4, budget=budget)),
-                 o13_rhs),
+            Leg("formula", lambda: ({"n": n} for n in range(1, o13_top + 1)),
+                lambda p: counting.mex_1mod4_count(p["n"]) - counting.mex_3mod4_count(p["n"]),
+                o13_rhs),
+            Leg("oracle", lambda: ({"n": n} for n in range(1, min(top, o13_top) + 1)),
+                lambda p: (mex_residue_oracle(p["n"], 1, 4, budget=budget)
+                           - mex_residue_oracle(p["n"], 3, 4, budget=budget)),
+                o13_rhs),
         )),
         IdentityCheck("EWELL_EVEN", (
             "Ewell's identity at even arguments: sum_j (-1)^(t(j)) p(2k - t(j)) "
             "equals the distinct-parts count q(k)."
         ), (
-            _leg(None, ({"k": k} for k in range(span(300) + 1)),
-                 lambda p: counting.ewell_even_sum(p["k"]),
-                 lambda p: distinct_parts_count(p["k"])),
+            Leg(None, lambda: ({"k": k} for k in range(span(300) + 1)),
+                lambda p: counting.ewell_even_sum(p["k"]),
+                lambda p: distinct_parts_count(p["k"])),
         )),
         IdentityCheck("EWELL_ODD", (
             "Ewell's identity at odd arguments: sum_j (-1)^(t(j)) p(2k + 1 - t(j)) "
             "vanishes for every k."
         ), (
-            _leg(None, ({"k": k} for k in range(span(300) + 1)),
-                 lambda p: counting.ewell_odd_sum(p["k"]), lambda p: 0),
+            Leg(None, lambda: ({"k": k} for k in range(span(300) + 1)),
+                lambda p: counting.ewell_odd_sum(p["k"]), lambda p: 0),
         )),
         IdentityCheck("THM_AN_PARITY", (
             "The odd-mex partition count o(n) is odd exactly when "
             "n = j(3j+1) or n = j(3j-1) (Andrews-Newman parity)."
         ), (
-            _leg(None, ({"n": n} for n in range(1, span(2000) + 1)),
-                 lambda p: counting.odd_mex_count(p["n"]) % 2,
-                 lambda p: 1 if counting.is_double_pentagonal(p["n"]) else 0),
+            Leg(None, lambda: ({"n": n} for n in range(1, span(2000) + 1)),
+                lambda p: counting.odd_mex_count(p["n"]) % 2,
+                lambda p: 1 if counting.is_double_pentagonal(p["n"]) else 0),
         )),
         IdentityCheck("INEQ_OE", (
             "Odd-mex partitions strictly outnumber even-mex partitions of n "
             "for every n > 2 (Hopkins-Sellers inequality)."
         ), (
-            _leg(None, ({"n": n} for n in range(3, span(1000) + 1)),
-                 lambda p: 1 if counting.odd_mex_count(p["n"]) > counting.even_mex_count(p["n"]) else 0,
-                 lambda p: 1),
+            Leg(None, lambda: ({"n": n} for n in range(3, span(1000) + 1)),
+                lambda p: 1 if counting.odd_mex_count(p["n"]) > counting.even_mex_count(p["n"]) else 0,
+                lambda p: 1),
         )),
         IdentityCheck("SERIES_HEINE", (
             "Heine transformation instance: (1 - q) times the zero-free "
             "Frobenius series equals the q-Pochhammer product times "
             "sum_k q^(2k) / (q;q)_k^2, coefficient by coefficient."
         ), (
-            _leg(None, ({"n": n} for n in range(series_top + 1)),
-                 frob_no0_step,
-                 lambda p: gf(qseries.GfKind.crank0_alt(), series_top)[p["n"]]),
+            Leg(None, lambda: ({"n": n} for n in range(series_top + 1)),
+                frob_no0_step,
+                lambda p: gf(qseries.GfKind.crank0_alt(), series_top)[p["n"]]),
         )),
         IdentityCheck("DURFEE_RECT", (
             "Classifying partitions by their largest s x (s+b) Durfee "
             "rectangle reproduces the partition generating function for "
             "every offset b."
         ), (
-            _leg(None, ({"b": b, "n": n} for b in range(11) for n in range(series_top + 1)),
-                 lambda p: gf(qseries.GfKind.durfee_rect_b(p["b"]), series_top)[p["n"]],
-                 lambda p: gf(qseries.GfKind.euler_inv(), series_top)[p["n"]]),
+            Leg(None, lambda: ({"b": b, "n": n} for b in range(11) for n in range(series_top + 1)),
+                lambda p: gf(qseries.GfKind.durfee_rect_b(p["b"]), series_top)[p["n"]],
+                lambda p: gf(qseries.GfKind.euler_inv(), series_top)[p["n"]]),
         )),
         IdentityCheck("CRANK_GF_CONSISTENCY", (
             "Coefficients of the crank generating function at parameter m "
             "equal the closed-form crank counts M(m,n)."
         ), (
-            _leg(None, ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
-                 lambda p: gf(qseries.GfKind.crank_m(p["m"]), crank_top)[p["n"]],
-                 crank_formula),
+            Leg(None, lambda: ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
+                lambda p: gf(qseries.GfKind.crank_m(p["m"]), crank_top)[p["n"]],
+                crank_formula),
         )),
     )
 

@@ -331,10 +331,11 @@ class TestVerify:
                    if record["params"]["side"] == "series") == 250
 
     def test_bad_env_budget_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_BUDGET, "many")
-        code, _, err = run_cli(["verify", "--check", "EWELL_ODD", "--n-max", "3"], capsys)
-        assert code == 2
-        assert cli.ENV_BUDGET in err
+        for raw in ("many", "-1", str(cli.VERIFY_BUDGET_MAX + 1)):
+            monkeypatch.setenv(cli.ENV_BUDGET, raw)
+            code, _, err = run_cli(["verify", "--check", "EWELL_ODD", "--n-max", "3"], capsys)
+            assert code == 2
+            assert cli.ENV_BUDGET in err
 
     def test_bad_flag_values_rejected(self, capsys):
         assert run_cli(["verify", "--check", "EWELL_ODD", "--budget", "-1"], capsys)[0] == 2
@@ -343,6 +344,12 @@ class TestVerify:
         assert excinfo.value.code == 2
         capsys.readouterr()
         assert run_cli(["verify", "--check", "EWELL_ODD", "--n-max", "-4"], capsys)[0] == 2
+
+    def test_all_and_check_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--all", "--check", "EWELL_ODD"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_empty_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify", "--check", "INEQ_OE", "--n-max", "2"], capsys)
@@ -371,12 +378,18 @@ class TestVerify:
 
 class TestCeilings:
     # Sizes past the ceilings are usage errors, raised before any table
-    # grows: without them these runs hang or die with a MemoryError.
+    # grows or any grid is built: without them the table and series runs
+    # hang or die with a MemoryError.  The verify runs select EWELL_ODD,
+    # which reads neither the order nor the budget.
     @pytest.mark.parametrize("args", [
         ("table", "--fn", "p", "--n-max", str(10**11)),
         ("table", "--fn", "q", "--n-max", str(cli.TABLE_N_MAX + 1)),
         ("series", "--kind", "euler_inv", "--order", str(10**11)),
         ("series", "--kind", "crank0_alt", "--order", str(cli.SERIES_ORDER_MAX + 1)),
+        ("verify", "--check", "EWELL_ODD", "--n-max", str(cli.VERIFY_N_MAX + 1)),
+        ("verify", "--check", "EWELL_ODD", "--n-max", "3", "--order", str(10**11)),
+        ("verify", "--check", "EWELL_ODD", "--n-max", "3",
+         "--budget", str(cli.VERIFY_BUDGET_MAX + 1)),
     ])
     def test_past_ceiling_exits_two_at_once(self, args):
         result = subprocess.run(
@@ -389,6 +402,9 @@ class TestCeilings:
     @pytest.mark.parametrize("command, flag, ceiling", [
         (("table", "--fn", "p"), "--n-max", "TABLE_N_MAX"),
         (("series", "--kind", "euler_inv"), "--order", "SERIES_ORDER_MAX"),
+        (("verify", "--check", "EWELL_ODD"), "--n-max", "VERIFY_N_MAX"),
+        (("verify", "--check", "EWELL_ODD", "--n-max", "3"), "--order", "VERIFY_ORDER_MAX"),
+        (("verify", "--check", "EWELL_ODD", "--n-max", "3"), "--budget", "VERIFY_BUDGET_MAX"),
     ])
     def test_ceiling_is_inclusive(self, command, flag, ceiling, capsys, monkeypatch):
         monkeypatch.setattr(cli, ceiling, 5)
@@ -405,6 +421,9 @@ class TestCeilings:
                         if isinstance(action, argparse._SubParsersAction))
         assert str(cli.TABLE_N_MAX) in commands.choices["table"].format_help()
         assert str(cli.SERIES_ORDER_MAX) in commands.choices["series"].format_help()
+        verify_help = commands.choices["verify"].format_help()
+        for ceiling in (cli.VERIFY_N_MAX, cli.VERIFY_ORDER_MAX, cli.VERIFY_BUDGET_MAX):
+            assert f"at most {ceiling}" in verify_help
 
 
 class TestGoldenOutput:

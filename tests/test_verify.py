@@ -128,14 +128,22 @@ class TestRegistry:
         check = checks_by_id(30, budget=9)["PROP_MEXFORM"]
         assert max(point["n"] for point in check.grid) == 9
 
+    def test_points_are_made_only_when_run(self):
+        # An eager registry would build about 10^13 series points here.
+        huge = run_check(checks_by_id(3, budget=3, order=10**12)["EWELL_ODD"])
+        default = run_check(checks_by_id(3, budget=3)["EWELL_ODD"])
+        assert len(huge.records) == 4
+        assert [(r.params, r.lhs, r.rhs) for r in huge.records] == [
+            (r.params, r.lhs, r.rhs) for r in default.records]
+
 
 class TestRunCheck:
     def test_empty_grid_rejected(self):
-        empty = Leg("a", (), lambda p: 0, lambda p: 0)
+        empty = Leg("a", tuple, lambda p: 0, lambda p: 0)
         with pytest.raises(ValueError):
             run_check(IdentityCheck(check_id="EMPTY", statement="no points", legs=(empty, empty)))
         # One leg with points is enough.
-        one = Leg("b", ({"side": "b", "n": 0},), lambda p: 0, lambda p: 0)
+        one = Leg("b", lambda: ({"n": 0},), lambda p: 0, lambda p: 0)
         report = run_check(IdentityCheck(check_id="PART", statement="one point", legs=(empty, one)))
         assert [record.params for record in report.records] == [{"side": "b", "n": 0}]
 
@@ -143,7 +151,7 @@ class TestRunCheck:
         check = IdentityCheck(
             check_id="OVER_BUDGET",
             statement="asks the oracle past its cap",
-            legs=(Leg(None, ({"n": 40},),
+            legs=(Leg(None, lambda: ({"n": 40},),
                       lambda p: oracle_count(p["n"], lambda lam: True, budget=35),
                       lambda p: 0),),
         )
