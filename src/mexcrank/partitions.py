@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import takewhile
 from math import isqrt
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class UndefinedMexError(ValueError):
@@ -263,7 +264,7 @@ def partition_statistics(n: int) -> PartitionStatistics:
 # tables grow through one helper, _grow, which reads the offsets split into
 # the ones added and the ones subtracted, so an entry costs one big-integer
 # addition per offset and nothing else: growing the p table to 20000 takes
-# about 0.14 s on 2 CPUs.  A value already in a table costs a length check
+# about 0.3 s on 2 CPUs.  A value already in a table costs a length check
 # and one index, and never reaches _grow.  The shared tables are
 # only appended to under the GIL, so concurrent reads are safe once a build
 # call has returned; writers must not race with each other (the CLI and
@@ -332,6 +333,22 @@ def partition_count_table(limit: int) -> list[int]:
     """
     table = [1]
     _grow(table, limit, _partition_recurrence)
+    return table
+
+
+def euler_quotient(terms: Iterable[tuple[int, int]], limit: int) -> list[int]:
+    """Fresh list of the coefficients 0..limit of S(q)/(q;q)_inf, where S is
+    the sum of c q^g over the (g, c) terms, whose offsets never decrease.
+
+    Dividing by (q;q)_inf is the p(n) recurrence with S as its forcing term
+    (terms at one offset add up), so this costs what the p table to limit
+    costs, whatever S is; S = 1 gives p itself.
+    """
+    forcing: dict[int, int] = {}
+    for g, c in takewhile(lambda term: term[0] <= limit, terms):
+        forcing[g] = forcing.get(g, 0) + c
+    table: list[int] = []
+    _grow(table, limit, lambda bound: (*_partition_recurrence(bound)[:3], forcing))
     return table
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mexcrank import counting
+from mexcrank import counting, partitions
 from mexcrank.counting import (
     STREAMS,
     crank_count,
@@ -207,16 +207,23 @@ def test_table_row_matches_per_n(fn, param):
 
 
 @pytest.mark.parametrize("fn, param", ROWS)
-def test_table_row_across_block_boundaries(fn, param, monkeypatch):
-    # A narrow block puts every kind of boundary within a few n: a row that
-    # ends just before, at and after one, and terms that start mid-block.
-    width = 7
-    monkeypatch.setattr(counting, "_ROW_BLOCK", width)
-    for n_max in (0, width - 1, width, width + 1, 3 * width + 2):
+def test_table_row_across_block_boundaries(fn, param):
+    # The recurrence offsets are cached per power of two of n_max, so the n_max
+    # in (2^(k-1), 2^k] form one block read with one offset split.  Rows end
+    # just before, at and just after such bounds.
+    for n_max in (0, 1, 2, 3, 4, 63, 64, 65, 1025):
         expected = [PER_N[fn](param, n) for n in range(n_max + 1)]
-        assert list(table_row(fn, param, n_max)) == expected, n_max
+        assert table_row(fn, param, n_max) == expected, n_max
 
 
-def test_table_row_past_two_default_blocks():
-    n_max = 2 * counting._ROW_BLOCK + 1
-    assert list(table_row("M", 3, n_max)) == [crank_count(3, n) for n in range(n_max + 1)]
+def test_table_row_leaves_the_shared_p_table_alone(monkeypatch):
+    expected = {(fn, param): [PER_N[fn](param, n) for n in range(501)]
+                for fn, param in (("p", 0), ("M", 0), ("M", 3), ("crank_geq", 2), ("o", 0))}
+
+    def forbidden(limit):
+        raise AssertionError(f"table_row read the shared p table to {limit}")
+
+    monkeypatch.setattr(counting, "shared_partition_table", forbidden)
+    monkeypatch.setattr(partitions, "shared_partition_table", forbidden)
+    for (fn, param), row in expected.items():
+        assert table_row(fn, param, 500) == row
