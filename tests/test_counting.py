@@ -216,6 +216,13 @@ def test_table_row_across_block_boundaries(fn, param):
         assert table_row(fn, param, n_max) == expected, n_max
 
 
+def test_table_row_past_two_default_blocks():
+    # 1025 = 2 * 512 + 1: two widths of the former block kernel plus one, and
+    # past the 1024 bound on which the recurrence offsets are split again.
+    n_max = 1025
+    assert table_row("M", 3, n_max) == [crank_count(3, n) for n in range(n_max + 1)]
+
+
 def test_table_row_leaves_the_shared_p_table_alone(monkeypatch):
     expected = {(fn, param): [PER_N[fn](param, n) for n in range(501)]
                 for fn, param in (("p", 0), ("M", 0), ("M", 3), ("crank_geq", 2), ("o", 0))}
