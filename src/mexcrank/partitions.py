@@ -56,9 +56,6 @@ class Partition:
         """Build a partition from parts given in any order."""
         return cls(tuple(sorted(parts, reverse=True)))
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 

@@ -83,9 +83,6 @@ class TruncatedSeries:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
@@ -95,9 +92,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
         return TruncatedSeries([a[k] - b[k] for k in range(n + 1)])
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)
@@ -140,26 +134,6 @@ class TruncatedSeries:
             raise ValueError(f"shift must be nonnegative, got {k}")
         n = self.order
         return TruncatedSeries((0,) * min(k, n + 1) + self._coeffs[: n + 1 - k])
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            mag = "" if (abs(c) == 1 and k > 0) else str(abs(c))
-            power = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
-            sep = "*" if mag and power else ""
-            terms.append(("-" if c < 0 else "+", f"{mag}{sep}{power}" or "1"))
-            if len(terms) == 8:
-                terms.append(("+", "..."))
-                break
-        if not terms:
-            body = "0"
-        else:
-            sign, first = terms[0]
-            body = ("-" if sign == "-" else "") + first
-            body += "".join(f" {s} {t}" for s, t in terms[1:])
-        return f"{body} + O(q^{self.order + 1})"
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:8])
@@ -219,12 +193,9 @@ def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class GfKind:
-    """A named generating function plus its integer parameter, if any.
-
-    Prefer the classmethod constructors; they name the parameter.  Parameter
-    rules: ``crank_m`` takes any integer m, ``crank_geq_j`` and
-    ``frob_noj_top`` need j >= 0, ``durfee_rect_b`` needs b >= 0, the rest
-    take no parameter.
+    """A named generating function plus its integer parameter, if any, as
+    ``GfKind(tag, param)``; :data:`GF_KINDS` lists the tags and what each
+    parameter must be.
     """
 
     tag: str
@@ -241,52 +212,6 @@ class GfKind:
             raise InvalidParamsError(f"{self.tag} requires parameter {name}")
         elif least is not None and self.param < least:
             raise InvalidParamsError(f"{self.tag} requires {name} >= {least}, got {self.param}")
-
-    @classmethod
-    def euler_inv(cls) -> GfKind:
-        """1/(q;q)_inf: coefficients are the partition numbers p(n)."""
-        return cls("euler_inv")
-
-    @classmethod
-    def poch_q_inf(cls) -> GfKind:
-        """(q;q)_inf via the pentagonal number theorem (sparse +-1 coefficients)."""
-        return cls("poch_q_inf")
-
-    @classmethod
-    def distinct(cls) -> GfKind:
-        """Distinct-part partition numbers q(n): the product of (1+q^k),
-        built as (q^2;q^2)_inf / (q;q)_inf by pentagonal division."""
-        return cls("distinct")
-
-    @classmethod
-    def crank_m(cls, m: int) -> GfKind:
-        """Partitions of n with crank m (generating-function counts M(m,n))."""
-        return cls("crank_m", m)
-
-    @classmethod
-    def crank_geq_j(cls, j: int) -> GfKind:
-        """Partitions of n with crank >= j, for j >= 0."""
-        return cls("crank_geq_j", j)
-
-    @classmethod
-    def frob_no0(cls) -> GfKind:
-        """Partitions whose Frobenius symbol contains no 0 in either row."""
-        return cls("frob_no0")
-
-    @classmethod
-    def crank0_alt(cls) -> GfKind:
-        """Crank-zero counts via (q;q)_inf * sum_k q^(2k)/(q;q)_k^2."""
-        return cls("crank0_alt")
-
-    @classmethod
-    def frob_noj_top(cls, j: int) -> GfKind:
-        """Partitions whose Frobenius symbol has no j in its top row."""
-        return cls("frob_noj_top", j)
-
-    @classmethod
-    def durfee_rect_b(cls, b: int) -> GfKind:
-        """All partitions, decomposed by Durfee rectangles of shape s x (s+b)."""
-        return cls("durfee_rect_b", b)
 
 
 def gf(kind: GfKind, order: int) -> TruncatedSeries:
@@ -426,7 +351,17 @@ def _gf_durfee_rect_b(b: int, order: int) -> TruncatedSeries:
 # Every named generating function, by tag: the name of its integer
 # parameter (None for none), the least value that parameter may take (None
 # for no bound), and its builder, called as builder(order) or
-# builder(param, order).
+# builder(param, order).  What each series counts:
+#
+#   euler_inv       1/(q;q)_inf, the partition numbers p(n)
+#   poch_q_inf      (q;q)_inf by the pentagonal number theorem
+#   distinct        partitions into distinct parts q(n), the product of (1+q^k)
+#   crank_m         partitions with crank m, M(m,n)
+#   crank_geq_j     partitions with crank >= j
+#   frob_no0        partitions with no 0 in either row of the Frobenius symbol
+#   crank0_alt      crank-zero counts, (q;q)_inf * sum_k q^(2k)/(q;q)_k^2
+#   frob_noj_top    partitions with no j in the top row of the Frobenius symbol
+#   durfee_rect_b   all partitions, by Durfee rectangles of shape s x (s+b)
 GF_KINDS: dict[str, tuple[str | None, int | None, Callable[..., TruncatedSeries]]] = {
     "euler_inv": (None, None, _gf_euler_inv),
     "poch_q_inf": (None, None, _gf_poch_q_inf),

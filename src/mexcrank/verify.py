@@ -166,12 +166,15 @@ class IdentityCheck:
 
 @dataclass(frozen=True, eq=False)
 class CheckRecord:
-    """One grid point's outcome: parameters, both values, equality flag."""
+    """One grid point's outcome: parameters and both values."""
 
     params: Params
     lhs: int
     rhs: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
     def to_jsonable(self, check_id: str) -> dict:
         return {
@@ -227,9 +230,7 @@ def run_check(check: IdentityCheck) -> VerificationReport:
     records = []
     for leg in check.legs:
         for point in leg.grid:
-            lhs = leg.lhs(point)
-            rhs = leg.rhs(point)
-            records.append(CheckRecord(params=point, lhs=lhs, rhs=rhs, passed=lhs == rhs))
+            records.append(CheckRecord(point, leg.lhs(point), leg.rhs(point)))
     if not records:
         raise ValueError(f"check {check.check_id} has an empty parameter grid")
     return VerificationReport(check.check_id, check.statement, tuple(records))
@@ -308,11 +309,11 @@ def registry(
         return counting.crank_count(0, p["n"])
 
     def frob_no0_series(p: Params) -> int:
-        return gf(qseries.GfKind.frob_no0(), series_top)[p["n"]]
+        return gf(qseries.GfKind("frob_no0"), series_top)[p["n"]]
 
     def frob_no0_step(p: Params) -> int:
         # Coefficient n of (1 - q) times the zero-free Frobenius series.
-        series, n = gf(qseries.GfKind.frob_no0(), series_top), p["n"]
+        series, n = gf(qseries.GfKind("frob_no0"), series_top), p["n"]
         return series[n] - (series[n - 1] if n else 0)
 
     def pinned_n1(side: str, param: str, values: Mapping[int, tuple[int, int]],
@@ -354,7 +355,7 @@ def registry(
             Leg("oracle", lambda: ({"m": m, "n": n} for m in range(-12, 13) for n in range(2, top + 1)),
                 crank_enumerated, crank_formula),
             Leg("series", lambda: ({"m": m, "n": n} for m in range(13) for n in range(series_top + 1)),
-                lambda p: gf(qseries.GfKind.crank_m(p["m"]), series_top)[p["n"]],
+                lambda p: gf(qseries.GfKind("crank_m", p["m"]), series_top)[p["n"]],
                 crank_formula),
             *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula, crank_enumerated),
         )),
@@ -393,12 +394,12 @@ def registry(
         ), (
             Leg("series",
                 lambda: ({"j": j, "n": n} for j in range(9) for n in range(j, series_top + 1)),
-                lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["n"] - p["j"]],
+                lambda p: gf(qseries.GfKind("frob_noj_top", p["j"]), series_top)[p["n"] - p["j"]],
                 crank_geq_formula),
             Leg("oracle",
                 lambda: ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
                 lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=budget),
-                lambda p: gf(qseries.GfKind.frob_noj_top(p["j"]), series_top)[p["w"]]),
+                lambda p: gf(qseries.GfKind("frob_noj_top", p["j"]), series_top)[p["w"]]),
         )),
         IdentityCheck("PROP_O13", (
             "Among partitions of n, those with mex = 1 mod 4 outnumber those "
@@ -450,7 +451,7 @@ def registry(
         ), (
             Leg(None, lambda: ({"n": n} for n in range(series_top + 1)),
                 frob_no0_step,
-                lambda p: gf(qseries.GfKind.crank0_alt(), series_top)[p["n"]]),
+                lambda p: gf(qseries.GfKind("crank0_alt"), series_top)[p["n"]]),
         )),
         IdentityCheck("DURFEE_RECT", (
             "Classifying partitions by their largest s x (s+b) Durfee "
@@ -458,15 +459,15 @@ def registry(
             "every offset b."
         ), (
             Leg(None, lambda: ({"b": b, "n": n} for b in range(11) for n in range(series_top + 1)),
-                lambda p: gf(qseries.GfKind.durfee_rect_b(p["b"]), series_top)[p["n"]],
-                lambda p: gf(qseries.GfKind.euler_inv(), series_top)[p["n"]]),
+                lambda p: gf(qseries.GfKind("durfee_rect_b", p["b"]), series_top)[p["n"]],
+                lambda p: gf(qseries.GfKind("euler_inv"), series_top)[p["n"]]),
         )),
         IdentityCheck("CRANK_GF_CONSISTENCY", (
             "Coefficients of the crank generating function at parameter m "
             "equal the closed-form crank counts M(m,n)."
         ), (
             Leg(None, lambda: ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
-                lambda p: gf(qseries.GfKind.crank_m(p["m"]), crank_top)[p["n"]],
+                lambda p: gf(qseries.GfKind("crank_m", p["m"]), crank_top)[p["n"]],
                 crank_formula),
         )),
     )

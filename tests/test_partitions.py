@@ -47,13 +47,11 @@ class TestPartition:
         lam = Partition((3, 1))
         assert lam.parts == (3, 1)
         assert lam.weight == 4
-        assert len(lam) == 2
 
     def test_empty_partition(self):
         lam = Partition()
         assert lam.parts == ()
         assert lam.weight == 0
-        assert len(lam) == 0
 
     def test_of_sorts_parts(self):
         assert Partition.of(1, 3, 2).parts == (3, 2, 1)
