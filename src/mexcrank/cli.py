@@ -41,8 +41,6 @@ VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
 
-_TABLE_FNS = ("p", "q", "M", "crank_geq", "x_mex", "o", "e", "o1", "o3")
-
 # --kind spellings that differ from their generating-function tag; every
 # other tag in qseries.GF_KINDS is its own spelling.
 _KIND_SPELLINGS = {"crank_geq_j": "crank_geq", "durfee_rect_b": "durfee_rect"}
@@ -59,9 +57,13 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _canonical(payload: object) -> str:
+    # The one JSON encoding of every stdout byte: compact, with sorted keys.
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _json_dump(payload: object) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+    sys.stdout.write(_canonical(payload) + "\n")
 
 
 def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
@@ -91,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="tabulate a counting function over n = 0..n_max")
-    table.add_argument("--fn", required=True, choices=_TABLE_FNS,
+    # q keeps the Gauss recurrence, faster than a stream row; it follows p.
+    table.add_argument("--fn", required=True,
+                       choices=list(dict.fromkeys(("p", "q", *counting.STREAMS))),
                        help="which function to tabulate")
     table.add_argument("--m", type=int, default=0, help="crank value for M, mex value for x_mex")
     table.add_argument("--j", type=int, default=0, help="lower crank bound for crank_geq")
@@ -137,15 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_table(args: argparse.Namespace) -> int:
     if not 0 <= args.n_max <= TABLE_N_MAX:
         return _fail(f"--n-max must be in 0..{TABLE_N_MAX}, got {args.n_max}")
-    fn = args.fn
-    if fn == "x_mex" and args.m < 1:
-        return _fail("--fn x_mex requires --m >= 1")
-    if fn == "crank_geq" and args.j < 0:
-        return _fail("--fn crank_geq requires --j >= 0")
-    if fn == "q":
+    if args.fn == "q":
         values = map(partitions.distinct_parts_count, range(args.n_max + 1))
     else:
-        values = counting.table_row(fn, args.j if fn == "crank_geq" else args.m, args.n_max)
+        name, least, _ = counting.STREAMS[args.fn]
+        param = None if name is None else getattr(args, name)
+        if least is not None and param < least:
+            return _fail(f"--fn {args.fn} requires --{name} >= {least}")
+        values = counting.table_row(args.fn, param, args.n_max)
     _emit_rows(enumerate(values), ("n", "value"), args)
     return 0
 
@@ -231,14 +234,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     all_passed = all(report.passed for report in reports)
     if args.format == "json":
-        # Report by report: the same bytes as json.dump of the whole document,
-        # a few times faster, and never the whole document in one string.
-        sys.stdout.write(f'{{"pass":{json.dumps(all_passed)},"reports":[')
+        # Report by report: the same bytes as _json_dump of the whole
+        # document, without ever holding the whole document in one string.
+        sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')
         for index, report in enumerate(reports):
             if index:
                 sys.stdout.write(",")
-            sys.stdout.write(json.dumps(report.to_jsonable(), sort_keys=True,
-                                        separators=(",", ":")))
+            sys.stdout.write(_canonical(report.to_jsonable()))
         sys.stdout.write("]}\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -248,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for record in report.records:
                 writer.writerow((
                     report.check_id,
-                    json.dumps(dict(record.params), sort_keys=True, separators=(",", ":")),
+                    _canonical(dict(record.params)),
                     str(record.lhs),
                     str(record.rhs),
                     "true" if record.passed else "false",

@@ -3,14 +3,16 @@
 Each count is a classical formula sum_i c_i p(n - g_i), the "fast side" that
 :mod:`mexcrank.verify` plays against a brute-force count.  Its terms come as
 a stream of (offset g, coefficient c) pairs whose offsets never decrease.
-Each public function is its argument checks plus its stream through the
-per-n kernel, :func:`_count`, which sums c p(n - g) from the shared p table
-up to the first offset past n.  A ``table`` row, :func:`table_row`, takes
-the other route: the row's generating function is S(q)/(q;q)_inf, with S
-the sum of c q^g, so :func:`mexcrank.partitions.euler_quotient` divides S
-by the pentagonal recurrence.  A row then costs about what the p table to
-n_max costs, and never reads or grows the shared table; the row tests
-compare it with the per-n kernel.  The streams, with t_i = i(i + 1)/2:
+:data:`STREAMS` holds each stream with its parameter's name and least value,
+which :func:`_stream` checks for every caller.  Each public function is its
+stream through the per-n kernel, :func:`_count`, which sums c p(n - g) from
+the shared p table up to the first offset past n.  A ``table`` row,
+:func:`table_row`, takes the other route: the row's generating function is
+S(q)/(q;q)_inf, with S the sum of c q^g, so
+:func:`mexcrank.partitions.euler_quotient` divides S by the pentagonal
+recurrence.  A row then costs about what the p table to n_max costs, and
+never reads or grows the shared table; the row tests compare it with the
+per-n kernel.  The streams, with t_i = i(i + 1)/2:
 
 * M(m, n): k(k + 2|m| - 1)/2 with (-1)^(k+1), then k(k + 2|m| + 1)/2 with
   (-1)^k, for k >= 1; crank >= j: k(k - 1)/2 + kj with (-1)^(k+1);
@@ -76,25 +78,34 @@ def _crank_terms(m: int) -> Iterator[tuple[int, int]]:
         lo, sign = lo + k + abs(m), -sign
 
 
-STREAMS: dict[str, Callable[[int], Terms]] = {
-    "p": lambda _: ((0, 1),),
-    "M": _crank_terms,
+# fn -> (parameter name, least value, stream), as in qseries.GF_KINDS.
+STREAMS: dict[str, tuple[str | None, int | None, Callable[[int | None], Terms]]] = {
+    "p": (None, None, lambda _: ((0, 1),)),
+    "M": ("m", None, _crank_terms),
     # Offsets k(k - 1)/2 + kj for k >= 1, which step by j + k - 1.
-    "crank_geq": lambda j: zip(accumulate(count(j + 1), initial=j), cycle((1, -1))),
-    "x_mex": lambda m: ((triangular(m - 1), 1), (triangular(m), -1)),
-    "o": lambda _: _mex_residue_terms(1, 2),
-    "e": lambda _: _mex_residue_terms(0, 2),
-    "o1": lambda _: _mex_residue_terms(1, 4),
-    "o3": lambda _: _mex_residue_terms(3, 4),
+    "crank_geq": ("j", 0, lambda j: zip(accumulate(count(j + 1), initial=j), cycle((1, -1)))),
+    "x_mex": ("m", 1, lambda m: ((triangular(m - 1), 1), (triangular(m), -1))),
+    "o": (None, None, lambda _: _mex_residue_terms(1, 2)),
+    "e": (None, None, lambda _: _mex_residue_terms(0, 2)),
+    "o1": (None, None, lambda _: _mex_residue_terms(1, 4)),
+    "o3": (None, None, lambda _: _mex_residue_terms(3, 4)),
 }
 
 
-def table_row(fn: str, param: int, n_max: int) -> list[int]:
-    """Row n = 0..n_max of the ``table --fn fn`` stream ``STREAMS[fn](param)``
-    (param is m for M and x_mex, j for crank_geq, unused otherwise), as the
-    coefficients of the stream's S(q) over (q;q)_inf.
+def _stream(fn: str, param: int | None) -> Terms:
+    name, least, stream = STREAMS[fn]
+    if least is not None and param < least:
+        raise ValueError(f"{fn} requires {name} >= {least}, got {param}")
+    return stream(param)
+
+
+def table_row(fn: str, param: int | None, n_max: int) -> list[int]:
+    """Row n = 0..n_max of the ``table --fn fn`` stream, as the coefficients
+    of the stream's S(q) over (q;q)_inf.  ``STREAMS[fn]`` names the
+    parameter, if any, and its least value; a smaller param raises
+    ValueError.
     """
-    return euler_quotient(STREAMS[fn](param), n_max)
+    return euler_quotient(_stream(fn, param), n_max)
 
 
 def crank_count(m: int, n: int) -> int:
@@ -105,7 +116,7 @@ def crank_count(m: int, n: int) -> int:
     Agrees with the combinatorial crank for all n except n = 1, where the
     series assigns M(0,1) = -1 and M(1,1) = M(-1,1) = 1.
     """
-    return _count(n, STREAMS["M"](m))
+    return _count(n, _stream("M", m))
 
 
 def crank_geq_count(j: int, n: int) -> int:
@@ -114,9 +125,7 @@ def crank_geq_count(j: int, n: int) -> int:
     sum_{k>=1} (-1)^(k+1) p(n - k(k-1)/2 - kj).  Matches the combinatorial
     count except at n = 1 with j in {0, 1}, inheriting the crank anomaly.
     """
-    if j < 0:
-        raise ValueError(f"j must be nonnegative, got {j}")
-    return _count(n, STREAMS["crank_geq"](j))
+    return _count(n, _stream("crank_geq", j))
 
 
 def mex_count(m: int, n: int) -> int:
@@ -126,29 +135,27 @@ def mex_count(m: int, n: int) -> int:
     has mex >= m exactly when it contains 1..m-1, and removing one copy of
     each is a weight-preserving bijection onto partitions of n - t_(m-1).
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    return _count(n, STREAMS["x_mex"](m))
+    return _count(n, _stream("x_mex", m))
 
 
 def odd_mex_count(n: int) -> int:
     """Partitions of n whose mex is odd."""
-    return _count(n, STREAMS["o"](0))
+    return _count(n, _stream("o", None))
 
 
 def even_mex_count(n: int) -> int:
     """Partitions of n whose mex is even."""
-    return _count(n, STREAMS["e"](0))
+    return _count(n, _stream("e", None))
 
 
 def mex_1mod4_count(n: int) -> int:
     """Partitions of n whose mex is congruent to 1 mod 4."""
-    return _count(n, STREAMS["o1"](0))
+    return _count(n, _stream("o1", None))
 
 
 def mex_3mod4_count(n: int) -> int:
     """Partitions of n whose mex is congruent to 3 mod 4."""
-    return _count(n, STREAMS["o3"](0))
+    return _count(n, _stream("o3", None))
 
 
 def crank_zero_expansion(n: int) -> int:

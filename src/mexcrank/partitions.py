@@ -328,9 +328,7 @@ def partition_count_table(limit: int) -> list[int]:
     Does not touch the shared cache; used where a cold, self-contained
     computation is wanted (timing, cross-checks).
     """
-    table = [1]
-    _grow(table, limit, _partition_recurrence)
-    return table
+    return euler_quotient(((0, 1),), limit)
 
 
 def euler_quotient(terms: Iterable[tuple[int, int]], limit: int) -> list[int]:
@@ -363,9 +361,7 @@ def partition_count(n: int) -> int:
     """p(n), the number of partitions of n.  Zero for negative n."""
     if n < 0:
         return 0
-    if n >= len(_PARTITION_TABLE):
-        _grow(_PARTITION_TABLE, n, _partition_recurrence)
-    return _PARTITION_TABLE[n]
+    return shared_partition_table(n)[n]
 
 
 def distinct_parts_count(n: int) -> int:
@@ -385,11 +381,7 @@ def mex(partition: Partition) -> int:
     >>> mex(Partition((2, 2, 1)))
     3
     """
-    present = set(partition.parts)
-    m = 1
-    while m in present:
-        m += 1
-    return m
+    return mex_above(partition, 0)
 
 
 def mex_above(partition: Partition, j: int) -> int:

@@ -60,10 +60,17 @@ def _require_budget(n: int, budget: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _statistics(n: int) -> PartitionStatistics:
-    # One small histogram record per n; callers check the budget first, so
-    # the cache never holds more than budget + 1 of them.
+def _record(n: int) -> PartitionStatistics:
+    # partition_statistics is looked up at call time, so a wrapper bound to
+    # that name in this module sees every call.
     return partition_statistics(n)
+
+
+def _statistics(n: int, budget: int) -> PartitionStatistics:
+    # One small histogram record per n; the budget is checked before the
+    # cache is read, so the cache never holds more than budget + 1 of them.
+    _require_budget(n, budget)
+    return _record(n)
 
 
 def oracle_count(n: int, predicate: Callable[[Partition], bool], *, budget: int = DEFAULT_BUDGET) -> int:
@@ -82,44 +89,38 @@ def mex_above_odd_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET) -> int
     """Partitions of n where the least non-part above j exceeds j by an odd
     amount; partitions not containing j (for j >= 1) are excluded since the
     statistic is undefined for them."""
-    _require_budget(n, budget)
-    return _statistics(n).odd_gap_above.get(j, 0)
+    return _statistics(n, budget).odd_gap_above.get(j, 0)
 
 
 def crank_value_oracle(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of n with combinatorial crank exactly m, by enumeration."""
-    _require_budget(n, budget)
-    return _statistics(n).crank.get(m, 0)
+    return _statistics(n, budget).crank.get(m, 0)
 
 
 def crank_geq_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of n with combinatorial crank at least j, by enumeration."""
-    _require_budget(n, budget)
-    return sum(count for value, count in _statistics(n).crank.items() if value >= j)
+    return sum(count for value, count in _statistics(n, budget).crank.items() if value >= j)
 
 
 def mex_value_oracle(n: int, m: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of n with mex exactly m, by enumeration."""
-    _require_budget(n, budget)
-    return _statistics(n).mex.get(m, 0)
+    return _statistics(n, budget).mex.get(m, 0)
 
 
 def mex_residue_oracle(n: int, residue: int, modulus: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of n whose mex is congruent to residue mod modulus."""
-    _require_budget(n, budget)
-    return sum(count for value, count in _statistics(n).mex.items() if value % modulus == residue)
+    return sum(count for value, count in _statistics(n, budget).mex.items()
+               if value % modulus == residue)
 
 
 def frobenius_no0_oracle(n: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of n whose Frobenius symbol has no 0 in either row."""
-    _require_budget(n, budget)
-    return _statistics(n).zero_free
+    return _statistics(n, budget).zero_free
 
 
 def frobenius_top_avoids_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of n whose Frobenius symbol has no j in its top row."""
-    _require_budget(n, budget)
-    stats = _statistics(n)
+    stats = _statistics(n, budget)
     return stats.count - stats.top_entry.get(j, 0)
 
 
@@ -196,27 +197,20 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(record.passed for record in self.records)
-
-    @property
-    def failures(self) -> tuple[CheckRecord, ...]:
-        return tuple(record for record in self.records if not record.passed)
+        return self.first_counterexample is None
 
     @property
     def first_counterexample(self) -> CheckRecord | None:
-        for record in self.records:
-            if not record.passed:
-                return record
-        return None
+        return next((record for record in self.records if not record.passed), None)
 
     def to_jsonable(self) -> dict:
         counterexample = self.first_counterexample
         return {
             "check_id": self.check_id,
             "statement": self.statement,
-            "pass": self.passed,
+            "pass": counterexample is None,
             "total": len(self.records),
-            "failed": len(self.failures),
+            "failed": sum(not record.passed for record in self.records),
             "first_counterexample": (
                 None if counterexample is None else counterexample.to_jsonable(self.check_id)
             ),
@@ -242,13 +236,8 @@ def perturbed(check: IdentityCheck, where: Params, delta: int = 1) -> IdentityCh
     must fail with a counterexample at exactly those points."""
 
     def shifted(rhs: Callable[[Params], int]) -> Callable[[Params], int]:
-        def rhs_fn(point: Params) -> int:
-            value = rhs(point)
-            if all(point.get(key) == expected for key, expected in where.items()):
-                return value + delta
-            return value
-
-        return rhs_fn
+        return lambda point: rhs(point) + delta * all(
+            point.get(key) == expected for key, expected in where.items())
 
     return IdentityCheck(
         check_id=f"{check.check_id}:perturbed",

@@ -273,9 +273,9 @@ class TestVerify:
         canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
         assert out == canonical + "\n"
 
-    def test_workers_flag_cold_processes_agree(self):
-        # A thread pool once raced on the shared p(n) table and reported
-        # false counterexamples from cold caches.
+    def test_cold_processes_agree(self):
+        # Five cold processes, each growing the p(n) and q(n) tables from
+        # scratch, print the same bytes.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -484,6 +484,19 @@ class TestGoldenOutput:
     def test_override_verify_stdout_digest(self):
         digest = self.stdout_digest("verify", "--format", "json", *self.OVERRIDES)
         assert digest == self.OVERRIDE_DIGEST
+
+    def test_warm_caches_print_the_cold_digest(self, capsys, monkeypatch):
+        # The shared p and q tables and the statistics cache, grown in this
+        # process past the default ranges, leave the default report's bytes
+        # as a cold process prints them.
+        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
+        for argv in (("--check", "EWELL_EVEN", "--n-max", "2000"),
+                     ("--check", "PROP_MEXFORM", "--n-max", "38", "--budget", "38")):
+            assert run_cli(["verify", *argv], capsys)[0] == 0
+        assert len(partitions.shared_partition_table(0)) > 4000
+        code, out, _ = run_cli(["verify", "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["json"]
 
     @pytest.mark.parametrize("args", sorted(TABLE_DIGESTS))
     def test_table_stdout_digest(self, args):

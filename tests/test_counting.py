@@ -21,7 +21,6 @@ from mexcrank.counting import (
     table_row,
     triangular,
 )
-from mexcrank.cli import _TABLE_FNS
 from mexcrank.partitions import distinct_parts_count, partition_count
 
 
@@ -190,7 +189,18 @@ PER_N = {
 
 
 def test_streams_cover_every_table_fn_but_q():
-    assert set(STREAMS) == set(PER_N) == set(_TABLE_FNS) - {"q"}
+    assert set(STREAMS) == set(PER_N)
+
+
+@pytest.mark.parametrize("fn, param, bound", [("crank_geq", -1, "j >= 0"), ("x_mex", 0, "m >= 1")],
+                         ids=["crank_geq", "x_mex"])
+def test_table_row_checks_param_like_per_n(fn, param, bound):
+    # Below its least value a parameter fails the row and the per-n function
+    # alike, with an error that names the parameter and that value.
+    with pytest.raises(ValueError, match=bound):
+        table_row(fn, param, 8)
+    with pytest.raises(ValueError, match=bound):
+        PER_N[fn](param, 8)
 
 
 ROWS = [
