@@ -41,6 +41,7 @@ from .partitions import (
     partition_count,
     partition_count_table,
     partition_statistics,
+    partition_statistics_table,
     to_frobenius,
 )
 from .qseries import (
@@ -108,6 +109,7 @@ __all__ = [
     "partition_count",
     "partition_count_table",
     "partition_statistics",
+    "partition_statistics_table",
     "perturbed",
     "pochhammer_finite",
     "registry",

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import time
 from typing import Iterable, Sequence
 
 from . import counting, partitions, qseries, verify
@@ -35,8 +36,8 @@ SERIES_ORDER_MAX = 20_000
 # --order), and all 14 checks take about 122 s and 827 MB at --n-max 20000
 # and 79 s and 674 MB at --order 20000.  --budget (or MEXCRANK_BUDGET) is how
 # far the enumeration reaches, and its cost grows with p(n): --check
-# PROP_MEXFORM --n-max 50 --budget 50 takes about 5.2 s and 18 MB, and 12.4 s
-# at 55; p(80) alone is 15.8M partitions.
+# PROP_MEXFORM --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the
+# statistics sweep alone takes 3-4 s at 55; p(80) alone is 15.8M partitions.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
@@ -224,13 +225,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     reports = []
     for check in selected:
+        start = time.perf_counter()
         try:
             report = verify.run_check(check)
         except ValueError as exc:
             return _fail(str(exc))
+        elapsed_ms = round((time.perf_counter() - start) * 1000)
         reports.append(report)
         status = "pass" if report.passed else "FAIL"
-        print(f"{check.check_id}: {status} ({len(report.records)} records)", file=sys.stderr)
+        print(f"{check.check_id}: {status} ({len(report.records)} records, {elapsed_ms} ms)",
+              file=sys.stderr)
 
     all_passed = all(report.passed for report in reports)
     if args.format == "json":

@@ -14,12 +14,15 @@ formula modules (:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are
 imported inside :func:`registry` so that neither side can lean on the other.
 
 Every oracle except :func:`oracle_count` reads one
-:class:`~mexcrank.partitions.PartitionStatistics` record per n, built by a
-single streamed pass over the partitions of n and cached.  A record is a few
-histograms of at most 2n + 1 small integers, never a list of partitions, and
-the cache holds one record per n <= budget.  Cold ``mexcrank verify --all``
-takes 0.6-0.9 s and 28 MB max-RSS at the default budget 35, and 1.7-2.2 s and
-21 MB at ``--n-max 45 --budget 45`` (2 CPUs, Python 3.11.7).
+:class:`~mexcrank.partitions.PartitionStatistics` record per n.  A miss
+sweeps the records of every n up to the oracle's budget at once, with
+:func:`~mexcrank.partitions.partition_statistics_table`, and keeps them in
+one tuple; the registry passes its oracles the reach of its enumeration
+grids as their budget, so one sweep serves every check.  A record is a few
+histograms of at most 2n + 1 small integers, never a list of partitions.
+Cold ``mexcrank verify --all`` takes 0.4-0.6 s and 28 MB max-RSS at the
+default budget 35, and 0.75-0.9 s and 21 MB at ``--n-max 45 --budget 45``
+(2 CPUs, Python 3.11.7).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.
@@ -39,7 +42,7 @@ from .partitions import (
     PartitionStatistics,
     distinct_parts_count,
     enumerate_partitions,
-    partition_statistics,
+    partition_statistics_table,
 )
 
 DEFAULT_BUDGET = 35
@@ -59,18 +62,22 @@ def _require_budget(n: int, budget: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _record(n: int) -> PartitionStatistics:
-    # partition_statistics is looked up at call time, so a wrapper bound to
-    # that name in this module sees every call.
-    return partition_statistics(n)
+# The statistics records of n = 0, 1, ..., as far as the widest sweep so far.
+_STATISTICS: tuple[PartitionStatistics, ...] = ()
 
 
 def _statistics(n: int, budget: int) -> PartitionStatistics:
-    # One small histogram record per n; the budget is checked before the
-    # cache is read, so the cache never holds more than budget + 1 of them.
+    # The budget is checked first, so the records never reach past the
+    # largest budget asked for.  A miss sweeps every n up to the budget at
+    # once; partition_statistics_table is looked up at call time, so a
+    # wrapper bound to that name in this module sees every sweep.
+    global _STATISTICS
     _require_budget(n, budget)
-    return _record(n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n >= len(_STATISTICS):
+        _STATISTICS = partition_statistics_table(budget)
+    return _STATISTICS[n]
 
 
 def oracle_count(n: int, predicate: Callable[[Partition], bool], *, budget: int = DEFAULT_BUDGET) -> int:
@@ -279,6 +286,9 @@ def registry(
         return default if n_max is None else n_max
 
     top = min(span(35), budget)
+    # The oracles sweep as far as the enumeration grids reach, and no
+    # further: top, or n = 1 for the pinned legs.
+    reach = min(budget, max(top, 1))
     series_top = order if order is not None else span(200)
     o13_top, crank_top = span(400), span(300)
 
@@ -286,13 +296,13 @@ def registry(
         return counting.crank_geq_count(p["j"], p["n"])
 
     def crank_geq_enumerated(p: Params) -> int:
-        return crank_geq_oracle(p["n"], p["j"], budget=budget)
+        return crank_geq_oracle(p["n"], p["j"], budget=reach)
 
     def crank_formula(p: Params) -> int:
         return counting.crank_count(p["m"], p["n"])
 
     def crank_enumerated(p: Params) -> int:
-        return crank_value_oracle(p["n"], p["m"], budget=budget)
+        return crank_value_oracle(p["n"], p["m"], budget=reach)
 
     def crank_zero_formula(p: Params) -> int:
         return counting.crank_count(0, p["n"])
@@ -330,7 +340,7 @@ def registry(
             "with the n = 1 values pinned explicitly."
         ), (
             Leg("mex_oracle", lambda: ({"j": j, "n": n} for j in range(11) for n in range(top + 1)),
-                lambda p: mex_above_odd_oracle(p["n"], p["j"], budget=budget),
+                lambda p: mex_above_odd_oracle(p["n"], p["j"], budget=reach),
                 crank_geq_formula),
             Leg("crank_oracle", lambda: ({"j": j, "n": n} for j in range(11) for n in range(2, top + 1)),
                 crank_geq_enumerated, crank_geq_formula),
@@ -352,7 +362,7 @@ def registry(
             "Partitions of n with mex exactly m number p(n - t(m-1)) - p(n - t(m))."
         ), (
             Leg(None, lambda: ({"m": m, "n": n} for m in range(1, 11) for n in range(top + 1)),
-                lambda p: mex_value_oracle(p["n"], p["m"], budget=budget),
+                lambda p: mex_value_oracle(p["n"], p["m"], budget=reach),
                 lambda p: counting.mex_count(p["m"], p["n"])),
         )),
         IdentityCheck("COR_0CRANK", (
@@ -365,7 +375,7 @@ def registry(
                 lambda p: counting.crank_zero_expansion(p["n"]),
                 lambda p: _CRANK0_HEAD[p["n"]]),
             Leg("oracle", lambda: ({"n": n} for n in range(2, top + 1)),
-                lambda p: crank_value_oracle(p["n"], 0, budget=budget), crank_zero_formula),
+                lambda p: crank_value_oracle(p["n"], 0, budget=reach), crank_zero_formula),
         )),
         IdentityCheck("PROP_NOF0", (
             "The crank-zero count M(0,n) equals F(n) - F(n-1), where F counts "
@@ -375,7 +385,7 @@ def registry(
             Leg("series", lambda: ({"n": n} for n in range(series_top + 1)),
                 frob_no0_step, crank_zero_formula),
             Leg("oracle", lambda: ({"n": n} for n in range(min(top, series_top) + 1)),
-                lambda p: frobenius_no0_oracle(p["n"], budget=budget), frob_no0_series),
+                lambda p: frobenius_no0_oracle(p["n"], budget=reach), frob_no0_series),
         )),
         IdentityCheck("THM_FROB_J", (
             "Partitions of n with crank at least j are equinumerous with "
@@ -387,7 +397,7 @@ def registry(
                 crank_geq_formula),
             Leg("oracle",
                 lambda: ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
-                lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=budget),
+                lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=reach),
                 lambda p: gf(qseries.GfKind("frob_noj_top", p["j"]), series_top)[p["w"]]),
         )),
         IdentityCheck("PROP_O13", (
@@ -398,8 +408,8 @@ def registry(
                 lambda p: counting.mex_1mod4_count(p["n"]) - counting.mex_3mod4_count(p["n"]),
                 o13_rhs),
             Leg("oracle", lambda: ({"n": n} for n in range(1, min(top, o13_top) + 1)),
-                lambda p: (mex_residue_oracle(p["n"], 1, 4, budget=budget)
-                           - mex_residue_oracle(p["n"], 3, 4, budget=budget)),
+                lambda p: (mex_residue_oracle(p["n"], 1, 4, budget=reach)
+                           - mex_residue_oracle(p["n"], 3, 4, budget=reach)),
                 o13_rhs),
         )),
         IdentityCheck("EWELL_EVEN", (

@@ -6,13 +6,14 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mexcrank import cli, partitions
+from mexcrank import cli, partitions, verify
 from mexcrank.qseries import GF_KINDS, GfKind, gf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -320,6 +321,30 @@ class TestVerify:
         assert "n1_oracle" not in sides
         assert {"n1_series", "n1_formula"} <= sides
 
+    @pytest.mark.parametrize("args, reach", [
+        (("--n-max", "3"), 3),
+        (("--budget", "0"), 0),
+        (("--n-max", "0"), 1),
+    ])
+    def test_oracles_sweep_to_the_grid_reach(self, args, reach, capsys, monkeypatch):
+        # The statistics sweep stops where the enumeration grids stop, not
+        # at the budget; the pinned n = 1 legs reach 1 even at --n-max 0.
+        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
+        limits = []
+
+        def recording(limit):
+            limits.append(limit)
+            return partitions.partition_statistics_table(limit)
+
+        monkeypatch.setattr(verify, "partition_statistics_table", recording)
+        monkeypatch.setattr(verify, "_STATISTICS", ())
+        for check_id in ("PROP_MEXFORM", "THM_JCRANK"):
+            limits.clear()
+            code, _, _ = run_cli(["verify", "--check", check_id, *args], capsys)
+            assert code == 0
+            assert limits == [reach]
+            monkeypatch.setattr(verify, "_STATISTICS", ())
+
     def test_series_span_follows_n_max_past_default(self, capsys, monkeypatch):
         monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
         code, out, _ = run_cli(
@@ -484,6 +509,21 @@ class TestGoldenOutput:
     def test_override_verify_stdout_digest(self):
         digest = self.stdout_digest("verify", "--format", "json", *self.OVERRIDES)
         assert digest == self.OVERRIDE_DIGEST
+
+    def test_default_verify_summary_lines(self):
+        # Each check's stderr line carries its record count and wall time;
+        # stdout is the pinned report all the same.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop(cli.ENV_BUDGET, None)
+        result = subprocess.run(
+            [sys.executable, "-m", "mexcrank", "verify", "--format", "json"],
+            capture_output=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout).hexdigest() == self.DIGESTS["json"]
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 14
+        for line in lines:
+            assert re.fullmatch(r"\w+: (pass|FAIL) \(\d+ records, \d+ ms\)", line), line
 
     def test_warm_caches_print_the_cold_digest(self, capsys, monkeypatch):
         # The shared p and q tables and the statistics cache, grown in this

@@ -23,6 +23,7 @@ from mexcrank.partitions import (
     partition_count,
     partition_count_table,
     partition_statistics,
+    partition_statistics_table,
     to_frobenius,
 )
 
@@ -294,7 +295,7 @@ class TestFrobenius:
 
 class TestPartitionStatistics:
     def test_fields_match_the_definitions(self):
-        for n in range(26):
+        for n in range(31):
             stats = partition_statistics(n)
             lams = list(enumerate_partitions(n))
             symbols = [to_frobenius(lam) for lam in lams]
@@ -312,6 +313,49 @@ class TestPartitionStatistics:
             assert stats.zero_free == sum(
                 1 for symbol in symbols if 0 not in symbol.top and 0 not in symbol.bottom)
 
+    def test_record_does_not_depend_on_the_limit(self):
+        tables = [partition_statistics_table(limit) for limit in range(27)]
+        for n in range(21):
+            for limit in range(n, n + 7):
+                assert tables[limit][n] == tables[n][n]
+
+    # Every partition of n <= 4, each written as x + 1^k with x free of ones.
+    #   n = 0: ()            x = (), k = 0: crank 0, mex 1, odd gap at 0,
+    #                        zero-free.
+    #   n = 1: (1)           x = (), k = 1: crank -1, mex 2, odd gap at 1,
+    #                        symbol (0 | 0).
+    #   n = 2: (2)           crank 2, mex 1, gaps at 0 and 2, symbol (1 | 0);
+    #          (1,1)         x = (): crank -2, mex 2, gap at 1, (0 | 1).
+    #   n = 3: (3)           crank 3, mex 1, gaps at 0 and 3, (2 | 0);
+    #          (2,1)         x = (2), k = 1: crank 1 - 1 = 0, mex 3, gaps at
+    #                        0 and 2, (1 | 1), zero-free as a single part
+    #                        followed by ones;
+    #          (1,1,1)       x = (): crank -3, mex 2, gap at 1, (0 | 2).
+    #   n = 4: (4)           crank 4, mex 1, gaps at 0 and 4, (3 | 0);
+    #          (3,1)         x = (3), k = 1: crank 0, mex 2, gaps at 1 and 3,
+    #                        (2 | 1), zero-free;
+    #          (2,2)         crank 2, mex 1, gaps at 0 and 2, (1 0 | 1 0);
+    #          (2,1,1)       x = (2), k = 2 >= its largest part: crank -2,
+    #                        mex 3, gaps at 0 and 2, (1 | 2), zero-free;
+    #          (1,1,1,1)     x = (): crank -4, mex 2, gap at 1, (0 | 3).
+    SMALL_RECORDS = (
+        (1, {0: 1}, {1: 1}, {0: 1}, {}, 1),
+        (1, {-1: 1}, {2: 1}, {1: 1}, {0: 1}, 0),
+        (2, {2: 1, -2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, 0),
+        (3, {3: 1, 0: 1, -3: 1}, {1: 1, 2: 1, 3: 1}, {0: 2, 1: 1, 2: 1, 3: 1},
+         {0: 1, 1: 1, 2: 1}, 1),
+        (5, {4: 1, 2: 1, 0: 1, -2: 1, -4: 1}, {1: 2, 2: 2, 3: 1},
+         {0: 3, 1: 2, 2: 2, 3: 1, 4: 1}, {0: 2, 1: 2, 2: 1, 3: 1}, 2),
+    )
+
+    @pytest.mark.parametrize("limit", range(7))
+    def test_small_records_by_hand(self, limit):
+        table = partition_statistics_table(limit)
+        assert len(table) == limit + 1
+        for stats, expected in zip(table, self.SMALL_RECORDS):
+            assert (stats.count, stats.crank, stats.mex, stats.odd_gap_above,
+                    stats.top_entry, stats.zero_free) == expected
+
     def test_small_examples(self):
         stats = partition_statistics(4)
         assert stats.crank == {4: 1, 2: 1, 0: 1, -2: 1, -4: 1}
@@ -326,3 +370,5 @@ class TestPartitionStatistics:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partition_statistics(-1)
+        with pytest.raises(ValueError):
+            partition_statistics_table(-1)

@@ -67,6 +67,9 @@ class TestOracles:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             oracle_count(-1, lambda lam: True)
+        crank_value_oracle(5, 0)  # records held, so -1 would index the last
+        with pytest.raises(ValueError):
+            crank_value_oracle(-1, 0)
 
     def test_crank_oracles(self):
         assert crank_value_oracle(4, 0) == 1
