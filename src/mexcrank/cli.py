@@ -11,14 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from typing import Iterable, Sequence
 
 from . import counting, partitions, qseries, verify
-
-ENV_BUDGET = "MEXCRANK_BUDGET"
 
 # The largest table --n-max and series --order accepted, so that a huge value
 # is a usage error and not a hang or a MemoryError.  Both costs grow faster
@@ -34,10 +31,10 @@ SERIES_ORDER_MAX = 20_000
 # forms as table and series do: at 20000 the costliest check takes about 40 s
 # and 470 MB (CRANK_GF_CONSISTENCY under --n-max, COR_CRANKRECUR under
 # --order), and all 14 checks take about 122 s and 827 MB at --n-max 20000
-# and 79 s and 674 MB at --order 20000.  --budget (or MEXCRANK_BUDGET) is how
-# far the enumeration reaches, and its cost grows with p(n): --check
-# PROP_MEXFORM --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the
-# statistics sweep alone takes 3-4 s at 55; p(80) alone is 15.8M partitions.
+# and 79 s and 674 MB at --order 20000.  --budget is how far the enumeration
+# reaches, and its cost grows with p(n): --check PROP_MEXFORM --n-max 50
+# --budget 50 takes about 1.8 s and 18 MB, and the statistics sweep alone
+# takes 3-4 s at 55; p(80) alone is 15.8M partitions.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
@@ -131,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"override each check's main scan range, at most {VERIFY_N_MAX}")
     vrf.add_argument("--order", type=int, default=None,
                      help=f"override the series truncation order, at most {VERIFY_ORDER_MAX}")
-    vrf.add_argument("--budget", type=int, default=None,
-                     help=f"enumeration cap, at most {VERIFY_BUDGET_MAX} (default: "
-                          f"{verify.DEFAULT_BUDGET}, or the {ENV_BUDGET} environment variable)")
+    vrf.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET,
+                     help=f"enumeration cap, at most {VERIFY_BUDGET_MAX} "
+                          f"(default: {verify.DEFAULT_BUDGET})")
     _add_output_flags(vrf)
 
     return parser
@@ -172,48 +169,31 @@ def _cmd_stat(args: argparse.Namespace) -> int:
         return _fail("parts must be positive integers")
     lam = partitions.Partition.of(*args.parts)
     symbol = partitions.to_frobenius(lam)
-    mex_j = {
-        str(j): partitions.mex_above(lam, j)
-        for j in sorted(set(lam.parts))
-    }
+    # mex above a part j is j + 1, unless j + 1 is a part too, when it is
+    # the mex above j + 1: one pass down the distinct parts fills them all.
+    mex_j: dict[int, int] = {}
+    for j in sorted(set(lam.parts), reverse=True):
+        mex_j[j] = mex_j.get(j + 1, j + 1)
     record = {
         "weight": lam.weight,
         "mex": partitions.mex(lam),
         "crank": partitions.crank(lam),
         "durfee": partitions.durfee_size(lam),
         "frobenius": {"top": list(symbol.top), "bottom": list(symbol.bottom)},
-        "mex_j": mex_j,
+        "mex_j": {str(j): m for j, m in mex_j.items()},
     }
     _json_dump(record)
     return 0
 
 
-def _resolve_budget(args: argparse.Namespace) -> int:
-    source, budget = "--budget", args.budget
-    if budget is None:
-        source, raw = ENV_BUDGET, os.environ.get(ENV_BUDGET)
-        if raw is None:
-            return verify.DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if not 0 <= budget <= VERIFY_BUDGET_MAX:
-        raise ValueError(f"{source} must be in 0..{VERIFY_BUDGET_MAX}, got {budget}")
-    return budget
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        budget = _resolve_budget(args)
-    except ValueError as exc:
-        return _fail(str(exc))
     for flag, value, ceiling in (("--n-max", args.n_max, VERIFY_N_MAX),
-                                 ("--order", args.order, VERIFY_ORDER_MAX)):
+                                 ("--order", args.order, VERIFY_ORDER_MAX),
+                                 ("--budget", args.budget, VERIFY_BUDGET_MAX)):
         if value is not None and not 0 <= value <= ceiling:
             return _fail(f"{flag} must be in 0..{ceiling}, got {value}")
 
-    available = verify.checks_by_id(args.n_max, budget=budget, order=args.order)
+    available = verify.checks_by_id(args.n_max, budget=args.budget, order=args.order)
     if args.checks:
         unknown = [check_id for check_id in args.checks if check_id not in available]
         if unknown:

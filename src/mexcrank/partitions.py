@@ -104,75 +104,38 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
     The order is by parts sequence, largest first part first; for n=4 this is
     (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  n=0 yields only the empty
-    partition.  The order is deterministic and relied on by the report
-    writers, so it must not change.
+    partition.  The order is part of the public behaviour and pinned by the
+    tests.  Each partition is a partition x with no part 1, as
+    :func:`_without_ones` walks them, followed by n - w ones.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    for x, m, _ in _zs1(n):
-        yield Partition(tuple(x[:m]))
-
-
-def _zs1(n: int) -> Iterator[tuple[list[int], int, int]]:
-    """Algorithm ZS1 (Zoghbi and Stojmenovic, 1998): the partitions of n >= 0
-    in reverse lexicographic order, each in O(1) amortized steps.
-
-    Yields ``(x, m, h)``: the parts are ``x[:m]``, nonincreasing, and
-    ``x[h]`` is the last part above 1, so there are ``m - 1 - h`` ones
-    (h = -1 when every part is 1).  ``x`` is one buffer rewritten in place
-    between yields; a caller that keeps parts must copy them.
-    """
-    if n == 0:
-        yield [], 0, -1
-        return
-    x = [1] * n
-    x[0] = n
-    m = 1
-    h = 0 if n > 1 else -1
-    yield x, m, h
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            # Lower x[h] by one and spread the freed unit plus the trailing
-            # ones over copies of the new value, with any remainder last.
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield x, m, h
+    ones = (1,) * n
+    for parts, w in _without_ones(n):
+        yield Partition(tuple(parts) + ones[w:])
 
 
 def _without_ones(limit: int) -> Iterator[tuple[list[int], int]]:
-    """The partitions with no part 1 and weight at most limit, depth first:
-    each is followed by those that extend it by one more part.
+    """The partitions with no part 1 and weight at most limit, in post-order:
+    each comes after every partition that extends it, and the extensions by
+    a larger next part come first.
 
-    Yields ``(parts, weight)``, the empty partition first; ``parts`` is one
+    Yields ``(parts, weight)``, the empty partition last; ``parts`` is one
     list rewritten in place between yields, nonincreasing, every part >= 2.
+    With ``limit - weight`` ones appended, the partitions of limit come out
+    in reverse lexicographic order.
     """
     parts: list[int] = []
     weight = 0
     while True:
-        yield parts, weight
-        p = min(parts[-1] if parts else limit, limit - weight)
-        if p >= 2:
+        # Descend to the first partition of this subtree: the largest part
+        # that fits, again and again.
+        while (p := min(parts[-1] if parts else limit, limit - weight)) >= 2:
             parts.append(p)
             weight += p
-            continue
-        # No part fits below this one: lower the last part that is above 2,
-        # dropping the 2s after it, or stop when every part is a 2.
+        yield parts, weight
+        # Its subtree is done: go on to the next smaller last part, or, when
+        # the last part was a 2, up to the partition it extended.
         while parts:
             p = parts.pop()
             weight -= p
@@ -180,6 +143,7 @@ def _without_ones(limit: int) -> Iterator[tuple[list[int], int]]:
                 parts.append(p - 1)
                 weight += p - 1
                 break
+            yield parts, weight
         else:
             return
 
@@ -218,9 +182,11 @@ def partition_statistics_table(limit: int) -> tuple[PartitionStatistics, ...]:
     """The :class:`PartitionStatistics` records of n = 0..limit, from one sweep.
 
     Every partition of n is, exactly once, a partition x with no part 1 and
-    weight w <= n together with k = n - w ones, so one depth-first walk over
-    the x of weight <= limit (p(limit) of them) reaches every partition of
-    every n <= limit.  Each statistic is read from the parts of x, as the
+    weight w <= n together with k = n - w ones, so one post-order walk over
+    the x of weight <= limit (p(limit) of them, as :func:`_without_ones`
+    gives them) reaches every partition of every n <= limit.  Each x adds
+    into difference tables over n, so the order of the walk does not
+    matter.  Each statistic is read from the parts of x, as the
     definitions give it, with no :class:`Partition` or
     :class:`FrobeniusSymbol` built:
 

@@ -206,6 +206,24 @@ class TestStat:
         _, sorted_out, _ = run_cli(["stat", "3", "1"], capsys)
         assert unsorted_out == sorted_out
 
+    @pytest.mark.parametrize("parts", [
+        (1,), (3, 1), (2, 2, 1), (5, 4, 3, 1), (7, 6, 6, 4, 2, 1, 1)])
+    def test_mex_j_matches_mex_above(self, parts, capsys):
+        code, out, _ = run_cli(["stat", *map(str, parts)], capsys)
+        assert code == 0
+        lam = partitions.Partition.of(*parts)
+        assert json.loads(out)["mex_j"] == {
+            str(j): partitions.mex_above(lam, j) for j in set(parts)}
+
+    def test_mex_j_of_a_long_run(self, capsys):
+        # Every part of 1..20000 has the mex 20001 above it; one mex_above
+        # per part would make this quadratic.
+        code, out, _ = run_cli(["stat", *map(str, range(1, 20001))], capsys)
+        assert code == 0
+        mex_j = json.loads(out)["mex_j"]
+        assert len(mex_j) == 20000
+        assert set(mex_j.values()) == {20001}
+
     def test_nonpositive_parts_rejected(self, capsys):
         assert run_cli(["stat", "0"], capsys)[0] == 2
         assert run_cli(["stat", "3", "-1"], capsys)[0] == 2
@@ -280,7 +298,6 @@ class TestVerify:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        env.pop(cli.ENV_BUDGET, None)
         argv = [sys.executable, "-m", "mexcrank", "verify", "--check", "INEQ_OE",
                 "--check", "THM_AN_PARITY"]
         outputs = set()
@@ -291,28 +308,9 @@ class TestVerify:
             outputs.add(result.stdout)
         assert len(outputs) == 1
 
-    def test_env_budget_caps_grids(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_BUDGET, "8")
-        code, out, _ = run_cli(
-            ["verify", "--check", "PROP_MEXFORM", "--n-max", "20", "--format", "json"],
-            capsys)
-        assert code == 0
-        records = json.loads(out)["reports"][0]["records"]
-        assert max(record["params"]["n"] for record in records) == 8
-
-    def test_budget_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_BUDGET, "8")
-        code, out, _ = run_cli(
-            ["verify", "--check", "PROP_MEXFORM", "--n-max", "20", "--budget", "12",
-             "--format", "json"], capsys)
-        assert code == 0
-        records = json.loads(out)["reports"][0]["records"]
-        assert max(record["params"]["n"] for record in records) == 12
-
-    def test_zero_budget_drops_pinned_enumeration(self, capsys, monkeypatch):
+    def test_zero_budget_drops_pinned_enumeration(self, capsys):
         # The n = 1 records of THM_JCRANK and COR_CRANKRECUR enumerate, so
         # a zero budget caps them away like every other enumeration grid.
-        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
         code, out, err = run_cli(["verify", "--budget", "0", "--format", "json"], capsys)
         assert code == 0
         assert "Traceback" not in err
@@ -329,7 +327,6 @@ class TestVerify:
     def test_oracles_sweep_to_the_grid_reach(self, args, reach, capsys, monkeypatch):
         # The statistics sweep stops where the enumeration grids stop, not
         # at the budget; the pinned n = 1 legs reach 1 even at --n-max 0.
-        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
         limits = []
 
         def recording(limit):
@@ -345,8 +342,7 @@ class TestVerify:
             assert limits == [reach]
             monkeypatch.setattr(verify, "_STATISTICS", ())
 
-    def test_series_span_follows_n_max_past_default(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
+    def test_series_span_follows_n_max_past_default(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--check", "SERIES_HEINE", "--check", "PROP_NOF0", "--n-max", "250",
              "--format", "json"], capsys)
@@ -355,13 +351,6 @@ class TestVerify:
         assert heine["total"] == 251
         assert max(record["params"]["n"] for record in nof0["records"]
                    if record["params"]["side"] == "series") == 250
-
-    def test_bad_env_budget_rejected(self, capsys, monkeypatch):
-        for raw in ("many", "-1", str(cli.VERIFY_BUDGET_MAX + 1)):
-            monkeypatch.setenv(cli.ENV_BUDGET, raw)
-            code, _, err = run_cli(["verify", "--check", "EWELL_ODD", "--n-max", "3"], capsys)
-            assert code == 2
-            assert cli.ENV_BUDGET in err
 
     def test_bad_flag_values_rejected(self, capsys):
         assert run_cli(["verify", "--check", "EWELL_ODD", "--budget", "-1"], capsys)[0] == 2
@@ -495,7 +484,6 @@ class TestGoldenOutput:
     @staticmethod
     def stdout_digest(*args):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop(cli.ENV_BUDGET, None)
         result = subprocess.run(
             [sys.executable, "-m", "mexcrank", *args],
             capture_output=True, env=env, timeout=300)
@@ -514,7 +502,6 @@ class TestGoldenOutput:
         # Each check's stderr line carries its record count and wall time;
         # stdout is the pinned report all the same.
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop(cli.ENV_BUDGET, None)
         result = subprocess.run(
             [sys.executable, "-m", "mexcrank", "verify", "--format", "json"],
             capture_output=True, env=env, timeout=300)
@@ -525,11 +512,10 @@ class TestGoldenOutput:
         for line in lines:
             assert re.fullmatch(r"\w+: (pass|FAIL) \(\d+ records, \d+ ms\)", line), line
 
-    def test_warm_caches_print_the_cold_digest(self, capsys, monkeypatch):
+    def test_warm_caches_print_the_cold_digest(self, capsys):
         # The shared p and q tables and the statistics cache, grown in this
         # process past the default ranges, leave the default report's bytes
         # as a cold process prints them.
-        monkeypatch.delenv(cli.ENV_BUDGET, raising=False)
         for argv in (("--check", "EWELL_EVEN", "--n-max", "2000"),
                      ("--check", "PROP_MEXFORM", "--n-max", "38", "--budget", "38")):
             assert run_cli(["verify", *argv], capsys)[0] == 0
@@ -556,7 +542,6 @@ class TestTracedStandIn:
     ])
     def test_stdout_matches_plain_run(self, args, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop(cli.ENV_BUDGET, None)
         plain = subprocess.run([sys.executable, "-m", "mexcrank", *args],
                                capture_output=True, env=env, timeout=60)
         traced = subprocess.run(

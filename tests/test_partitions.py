@@ -98,11 +98,11 @@ class TestEnumeration:
             assert len(seen) == len(set(seen))
 
     def test_order_matches_recursive_reference(self):
-        for n in range(26):
+        for n in range(31):
             assert [lam.parts for lam in enumerate_partitions(n)] == list(recursive_partitions(n))
 
     def test_counts_match_recurrence(self):
-        for n in range(21):
+        for n in range(31):
             assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
 
     def test_weights_are_n(self):
@@ -312,6 +312,12 @@ class TestPartitionStatistics:
             assert stats.top_entry == Counter(t for symbol in symbols for t in symbol.top)
             assert stats.zero_free == sum(
                 1 for symbol in symbols if 0 not in symbol.top and 0 not in symbol.bottom)
+
+    def test_counts_match_recurrence(self):
+        # The p(n) recurrence never walks a partition, so it checks the
+        # walker that the sweep and the enumeration share.
+        table = partition_statistics_table(40)
+        assert [stats.count for stats in table] == [partition_count(n) for n in range(41)]
 
     def test_record_does_not_depend_on_the_limit(self):
         tables = [partition_statistics_table(limit) for limit in range(27)]
