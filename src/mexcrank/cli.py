@@ -28,13 +28,13 @@ TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify.  --n-max and --order size the same series and closed
-# forms as table and series do: at 20000 the costliest check takes about 40 s
-# and 470 MB (CRANK_GF_CONSISTENCY under --n-max, COR_CRANKRECUR under
-# --order), and all 14 checks take about 122 s and 827 MB at --n-max 20000
-# and 79 s and 674 MB at --order 20000.  --budget is how far the enumeration
-# reaches, and its cost grows with p(n): --check PROP_MEXFORM --n-max 50
-# --budget 50 takes about 1.8 s and 18 MB, and the statistics sweep alone
-# takes 3-4 s at 55; p(80) alone is 15.8M partitions.
+# forms as table and series do: at 20000 the costliest check takes about 30 s
+# and 465 MB as JSON (CRANK_GF_CONSISTENCY under --n-max, COR_CRANKRECUR
+# under --order), and all 14 checks as JSON 80-100 s and 712 MB at --n-max
+# 20000 and 55 s and 550 MB at --order 20000.  --budget is how far the
+# enumeration reaches, and its cost grows with p(n): --check PROP_MEXFORM
+# --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the statistics
+# sweep alone takes 3-4 s at 55; p(80) alone is 15.8M partitions.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
@@ -203,42 +203,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         selected = list(available.values())
 
-    reports = []
+    try:  # an empty grid is a usage error, found before any check runs
+        for check in selected:
+            verify._require_points(check)
+    except ValueError as exc:
+        return _fail(str(exc))
+
+    # Each report leaves as soon as it is made: CSV writes its rows, JSON
+    # keeps only its text, because the top-level "pass" sorts before "reports".
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    if args.format == "csv" and not args.no_header:
+        writer.writerow(("check_id", "params", "lhs", "rhs", "pass"))
+    all_passed, texts = True, []
     for check in selected:
         start = time.perf_counter()
-        try:
-            report = verify.run_check(check)
-        except ValueError as exc:
-            return _fail(str(exc))
+        report = verify.run_check(check)
         elapsed_ms = round((time.perf_counter() - start) * 1000)
-        reports.append(report)
+        all_passed &= report.passed
         status = "pass" if report.passed else "FAIL"
         print(f"{check.check_id}: {status} ({len(report.records)} records, {elapsed_ms} ms)",
               file=sys.stderr)
-
-    all_passed = all(report.passed for report in reports)
+        if args.format == "json":
+            texts.append(_canonical(report.to_jsonable()))
+        else:
+            writer.writerows((report.check_id, _canonical(dict(record.params)), str(record.lhs),
+                              str(record.rhs), "true" if record.passed else "false")
+                             for record in report.records)
+        del report  # before the next check builds its own
     if args.format == "json":
-        # Report by report: the same bytes as _json_dump of the whole
-        # document, without ever holding the whole document in one string.
         sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')
-        for index, report in enumerate(reports):
-            if index:
-                sys.stdout.write(",")
-            sys.stdout.write(_canonical(report.to_jsonable()))
+        for index, text in enumerate(texts):
+            sys.stdout.writelines(("," if index else "", text))
         sys.stdout.write("]}\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        if not args.no_header:
-            writer.writerow(("check_id", "params", "lhs", "rhs", "pass"))
-        for report in reports:
-            for record in report.records:
-                writer.writerow((
-                    report.check_id,
-                    _canonical(dict(record.params)),
-                    str(record.lhs),
-                    str(record.rhs),
-                    "true" if record.passed else "false",
-                ))
     return 0 if all_passed else 1
 
 

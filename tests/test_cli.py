@@ -371,9 +371,20 @@ class TestVerify:
         assert code == 2
         assert "empty" in err
 
-    def test_failing_check_exits_one(self, capsys, monkeypatch):
-        from mexcrank import verify
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_grid_found_before_any_check_runs(self, fmt, capsys, monkeypatch):
+        # INEQ_OE has no point at --n-max 2; THM_JCRANK, first in the
+        # registry, must not run before that is found.
+        def no_run(check):
+            raise AssertionError(f"{check.check_id} ran")
 
+        monkeypatch.setattr(verify, "run_check", no_run)
+        code, out, err = run_cli(["verify", "--n-max", "2", "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert "INEQ_OE" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failing_check_exits_one(self, fmt, capsys, monkeypatch):
         base = verify.checks_by_id(20, budget=15)["EWELL_ODD"]
         broken = verify.perturbed(base, {"k": 5}, 1)
 
@@ -382,13 +393,19 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "checks_by_id", fake_checks_by_id)
         code, out, err = run_cli(
-            ["verify", "--check", "EWELL_ODD:perturbed", "--format", "json"], capsys)
+            ["verify", "--check", "EWELL_ODD:perturbed", "--format", fmt], capsys)
         assert code == 1
+        assert "FAIL" in err
+        if fmt == "csv":
+            rows = out.splitlines()[1:]
+            assert len(rows) == 21
+            assert [row for row in rows if not row.endswith(",true")] == [
+                'EWELL_ODD:perturbed,"{""k"":5}",0,1,false']
+            return
         payload = json.loads(out)
         assert payload["pass"] is False
         assert payload["reports"][0]["first_counterexample"]["params"] == {"k": 5}
         assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        assert "FAIL" in err
 
 
 class TestCeilings:

@@ -78,7 +78,9 @@ class TestCrankGeqCount:
                 assert crank_geq_count(j, n) - crank_geq_count(j + 1, n) == crank_count(j, n)
 
     def test_matches_odd_even_mex_split(self):
-        for n in range(101):
+        # To n = 400: verify reads o(n) and e(n) only in part (parity, the
+        # sign of o - e), so these are the full checks of both streams.
+        for n in range(401):
             assert crank_geq_count(0, n) == odd_mex_count(n)
             assert crank_geq_count(1, n) == even_mex_count(n)
 
@@ -103,7 +105,7 @@ class TestMexCount:
             assert total == partition_count(n)
 
     def test_residue_splits(self):
-        for n in range(101):
+        for n in range(401):
             assert odd_mex_count(n) + even_mex_count(n) == partition_count(n)
             assert mex_1mod4_count(n) + mex_3mod4_count(n) == odd_mex_count(n)
 
