@@ -20,7 +20,7 @@ from . import counting, partitions, qseries, verify
 # The largest table --n-max and series --order accepted, so that a huge value
 # is a usage error and not a hang or a MemoryError.  Both costs grow faster
 # than n^1.5; cold, on 2 CPUs with Python 3.11.7, every row costs about one
-# p table, 5-7 s and 30 MB at n_max = 100000, and the costliest series
+# p table, 3.5-4 s and 30 MB at n_max = 100000, and the costliest series
 # (crank0_alt) about 0.9 s at order 5000, 3 s at 10000 and 11.5 s and 23 MB
 # at 20000.
 # The library itself takes any size.

@@ -11,10 +11,12 @@ cross-checks in :mod:`mexcrank.verify` meaningful.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import takewhile
 from math import isqrt
+from operator import sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -312,9 +314,11 @@ def partition_statistics_table(limit: int) -> tuple[PartitionStatistics, ...]:
 # product (q^2;q^2)_inf / (q;q)_inf that mexcrank.qseries builds q(n) from,
 # so the q(n) cross-checks compare two independent computations.  Both
 # tables grow through one helper, _grow, which reads the offsets split into
-# the ones added and the ones subtracted, so an entry costs one big-integer
-# addition per offset and nothing else: growing the p table to 20000 takes
-# about 0.3 s on 2 CPUs.  A value already in a table costs a length check
+# the ones added and the ones subtracted and appends entries a block of
+# _BLOCK at a time; the shared tables grow to the end of the block that holds
+# the entry asked for, so a table grown one n at a time, as verify grows it,
+# still grows a whole block per call.  Growing the p table to 20000 takes
+# about 0.2 s on 2 CPUs.  A value already in a table costs a length check
 # and one index, and never reaches _grow.  The shared tables are
 # only appended to under the GIL, so concurrent reads are safe once a build
 # call has returned; writers must not race with each other (the CLI and
@@ -356,23 +360,51 @@ def _distinct_recurrence(bound: int) -> tuple:
             MappingProxyType(dict.fromkeys(minus, 1) | dict.fromkeys(plus, -1)))
 
 
+# The blocks are [start, stop) with stop a multiple of _BLOCK, a power of
+# two, or limit + 1.  An offset g >= _BLOCK reads only entries below start,
+# so the terms of these "far" offsets for the whole block are column sums of
+# slices, done in C; the "near" offsets, below _BLOCK (18 pentagonal numbers
+# and 11 squares), run per n, since they read entries of the block itself.
+_BLOCK = 128
+
+
 def _grow(table: list[int], limit: int, recurrence: Callable[[int], tuple]) -> None:
     # Append, for n = len(table)..limit,
     #   scale * (sum_(g in plus) table[n - g] - sum_(g in minus) table[n - g])
     #   + forcing.get(n, 0),
     # leaving out the offsets past n.
     plus, minus, scale, forcing = recurrence(1 << max(limit, 0).bit_length())
-    for n in range(len(table), limit + 1):
-        acc = 0
-        for g in plus:
-            if g > n:
-                break
-            acc += table[n - g]
-        for g in minus:
-            if g > n:
-                break
-            acc -= table[n - g]
-        table.append(scale * acc + forcing.get(n, 0))
+    near_plus = plus[:bisect_left(plus, _BLOCK)]
+    near_minus = minus[:bisect_left(minus, _BLOCK)]
+    start = len(table)
+    while start <= limit:
+        stop = min((start | (_BLOCK - 1)) + 1, limit + 1)
+        # The plus sums are a list, so that their slices are freed before
+        # the minus slices are taken.
+        far = map(sub, list(_far_sums(table, plus, start, stop)),
+                  _far_sums(table, minus, start, stop))
+        for n, acc in zip(range(start, stop), far):
+            for g in near_plus:
+                if g > n:
+                    break
+                acc += table[n - g]
+            for g in near_minus:
+                if g > n:
+                    break
+                acc -= table[n - g]
+            table.append(scale * acc + forcing.get(n, 0))
+        start = stop
+
+
+def _far_sums(table: list[int], offsets: tuple[int, ...], start: int,
+              stop: int) -> Iterator[int]:
+    # sum_g table[n - g] for n = start..stop-1 over the offsets
+    # _BLOCK <= g < stop, leaving out g > n: the slices are taken now, before
+    # the block's first entry is appended.
+    zeros = [0] * (stop - start)
+    slices = [table[start - g:stop - g] if g <= start else zeros[:g - start] + table[:stop - g]
+              for g in offsets[bisect_left(offsets, _BLOCK):bisect_left(offsets, stop)]]
+    return map(sum, zip(zeros, *slices))
 
 
 def partition_count_table(limit: int) -> list[int]:
@@ -406,7 +438,7 @@ def shared_partition_table(limit: int) -> Sequence[int]:
     Read only: callers index it and never change it.
     """
     if limit >= len(_PARTITION_TABLE):
-        _grow(_PARTITION_TABLE, limit, _partition_recurrence)
+        _grow(_PARTITION_TABLE, limit | (_BLOCK - 1), _partition_recurrence)
     return _PARTITION_TABLE
 
 
@@ -422,7 +454,7 @@ def distinct_parts_count(n: int) -> int:
     if n < 0:
         return 0
     if n >= len(_DISTINCT_TABLE):
-        _grow(_DISTINCT_TABLE, n, _distinct_recurrence)
+        _grow(_DISTINCT_TABLE, n | (_BLOCK - 1), _distinct_recurrence)
     return _DISTINCT_TABLE[n]
 
 

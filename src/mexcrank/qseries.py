@@ -133,7 +133,7 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError(f"shift must be nonnegative, got {k}")
         n = self.order
-        return TruncatedSeries((0,) * min(k, n + 1) + self._coeffs[: n + 1 - k])
+        return TruncatedSeries((0,) * min(k, n + 1) + self._coeffs[: max(n + 1 - k, 0)])
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self._coeffs[:8])

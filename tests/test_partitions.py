@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -41,6 +42,66 @@ def recursive_partitions(remaining, max_part=None):
 
 P_HEAD = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 Q_HEAD = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
+REFERENCE_LIMIT = 5000
+
+
+def pentagonal_signs(n):
+    """(g, (-1)^(k+1)) for the generalized pentagonal numbers
+    g = k(3k -+ 1)/2 <= n, k >= 1."""
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        sign = 1 if k % 2 else -1
+        yield k * (3 * k - 1) // 2, sign
+        if k * (3 * k + 1) // 2 <= n:
+            yield k * (3 * k + 1) // 2, sign
+        k += 1
+
+
+@cache
+def reference_quotient(forcing=((0, 1),)):
+    """Coefficients 0..REFERENCE_LIMIT of S(q)/(q;q)_inf, S the sum of
+    c q^g over the (g, c) pairs, one n at a time by Euler's pentagonal
+    theorem: a(n) = [q^n]S + sum_(k>=1) (-1)^(k+1) [a(n - k(3k-1)/2) +
+    a(n - k(3k+1)/2)].  The default S = 1 gives p(n)."""
+    a = []
+    for n in range(REFERENCE_LIMIT + 1):
+        acc = sum(c for g, c in forcing if g == n)
+        for g, sign in pentagonal_signs(n):
+            acc += sign * a[n - g]
+        a.append(acc)
+    return a
+
+
+@cache
+def reference_distinct():
+    """q(0..REFERENCE_LIMIT), one n at a time by Gauss's
+    q(n) = e(n) + 2 sum_(k>=1) (-1)^(k+1) q(n - k^2), e(n) the coefficient
+    of q^n in (q;q)_inf."""
+    q = []
+    for n in range(REFERENCE_LIMIT + 1):
+        acc = -sum(sign for g, sign in pentagonal_signs(n) if g == n) + (n == 0)
+        k = 1
+        while k * k <= n:
+            acc += 2 * (1 if k % 2 else -1) * q[n - k * k]
+            k += 1
+        q.append(acc)
+    return q
+
+
+def crank_forcing(m):
+    """The numerator of the M(m, n) generating function over (q;q)_inf:
+    sum_(k>=1) (-1)^(k+1) [q^(k(k+2|m|-1)/2) - q^(k(k+2|m|+1)/2)], as
+    (offset, coefficient) pairs with offsets that never decrease."""
+    terms = []
+    k = 1
+    while k * (k + 2 * abs(m) - 1) // 2 <= REFERENCE_LIMIT:
+        sign = 1 if k % 2 else -1
+        terms += [(k * (k + 2 * abs(m) - 1) // 2, sign), (k * (k + 2 * abs(m) + 1) // 2, -sign)]
+        k += 1
+    return tuple(terms)
+
+
+BLOCK_LIMITS = [*range(2 * partitions._BLOCK + 2), REFERENCE_LIMIT]
 
 
 class TestPartition:
@@ -138,19 +199,44 @@ class TestCountingTables:
     @pytest.mark.parametrize("table, count", [("_PARTITION_TABLE", partition_count),
                                               ("_DISTINCT_TABLE", distinct_parts_count)])
     def test_grown_one_at_a_time_matches_one_call(self, table, count, monkeypatch):
+        # Both shared tables grow to the end of the block that holds the
+        # entry asked for, whether grown one n at a time or in one call.
+        reference = {"_PARTITION_TABLE": reference_quotient,
+                     "_DISTINCT_TABLE": reference_distinct}[table]
         monkeypatch.setattr(partitions, table, [1])
         stepwise = [count(n) for n in range(601)]
+        grown = getattr(partitions, table)
         monkeypatch.setattr(partitions, table, [1])
         assert count(600) == stepwise[600]
-        assert getattr(partitions, table) == stepwise
+        length = (600 | (partitions._BLOCK - 1)) + 1
+        assert len(grown) == length
+        assert getattr(partitions, table) == grown == reference()[:length]
 
     def test_shared_table_prefix_matches_partition_count(self, monkeypatch):
         monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
         table = partitions.shared_partition_table(300)
-        assert list(table) == [partition_count(n) for n in range(301)]
-        assert list(table) == partition_count_table(300)
+        length = (300 | (partitions._BLOCK - 1)) + 1
+        assert len(table) == length
+        assert list(table) == [partition_count(n) for n in range(length)]
+        assert list(table) == partition_count_table(length - 1)
         assert partitions.shared_partition_table(7) is table
         assert partitions.shared_partition_table(-1) is table
+
+    @pytest.mark.parametrize("table, count", [("_PARTITION_TABLE", partition_count),
+                                              ("_DISTINCT_TABLE", distinct_parts_count)])
+    def test_grown_one_at_a_time_grows_whole_blocks(self, table, count, monkeypatch):
+        grow, calls = partitions._grow, []
+
+        def counted(*args):
+            calls.append(args[1])
+            grow(*args)
+
+        monkeypatch.setattr(partitions, table, [1])
+        monkeypatch.setattr(partitions, "_grow", counted)
+        for n in range(2001):
+            count(n)
+        assert len(calls) <= -(-2001 // partitions._BLOCK)
+        assert len(getattr(partitions, table)) == (2000 | (partitions._BLOCK - 1)) + 1
 
     def test_hits_do_not_grow(self, monkeypatch):
         monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
@@ -165,6 +251,44 @@ class TestCountingTables:
         assert partition_count(50) == partitions.shared_partition_table(50)[50] == 204226
         assert distinct_parts_count(50) == 3658
         assert partitions.shared_partition_table(-1)[0] == partition_count(0) == 1
+
+    @pytest.mark.parametrize("recurrence, reference", [
+        ("_partition_recurrence", reference_quotient),
+        ("_distinct_recurrence", reference_distinct),
+    ])
+    def test_blocked_growth_matches_per_n_reference(self, recurrence, reference):
+        expected = reference()
+        for limit in BLOCK_LIMITS:
+            table = [1]
+            partitions._grow(table, limit, getattr(partitions, recurrence))
+            assert table == expected[:limit + 1], limit
+
+    @pytest.mark.parametrize("recurrence, reference", [
+        ("_partition_recurrence", reference_quotient),
+        ("_distinct_recurrence", reference_distinct),
+    ])
+    def test_blocked_growth_from_unaligned_starts(self, recurrence, reference):
+        # A table grown to `first`, mostly inside a block, then grown again.
+        expected = reference()
+        block = partitions._BLOCK
+        for first in (0, 1, 5, block - 2, block - 1, block, block + 1, 2 * block + 3, 700):
+            for second in (first, first + 1, first + block - 1, first + block,
+                           first + 3 * block + 7, 2100):
+                table = [1]
+                partitions._grow(table, first, getattr(partitions, recurrence))
+                partitions._grow(table, second, getattr(partitions, recurrence))
+                assert table == expected[:second + 1], (first, second)
+
+    @pytest.mark.parametrize("forcing", [((0, 1),), crank_forcing(0), crank_forcing(12)],
+                             ids=["p", "M0", "M12"])
+    def test_euler_quotient_matches_per_n_reference(self, forcing):
+        if len(forcing) > 1:
+            # The M forcing offsets at m = 0 and m = 12 fall on both sides
+            # of the block width.
+            assert {g < partitions._BLOCK for g, _ in forcing} == {True, False}
+        expected = reference_quotient(forcing)
+        for limit in BLOCK_LIMITS:
+            assert partitions.euler_quotient(forcing, limit) == expected[:limit + 1], limit
 
     def test_distinct_matches_enumeration(self):
         for n in range(26):

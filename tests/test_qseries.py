@@ -114,6 +114,18 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             one(3).shift(-1)
 
+    @pytest.mark.parametrize("order", range(9))
+    def test_shift_keeps_the_order(self, order):
+        # Dense definition: coefficient n of q^k a is a[n - k], 0 for n < k.
+        rng = random.Random(order)
+        a = random_series(rng, order)
+        for k in range(3 * (order + 1) + 1):
+            shifted = a.shift(k)
+            assert shifted.order == order, k
+            assert shifted.coeffs == tuple(a[n - k] if n >= k else 0
+                                           for n in range(order + 1)), k
+        assert q_power(5, 3) == zero(3)
+
 
 class TestInvert:
     def test_identity(self):
