@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+from itertools import islice
 from typing import Iterable, Sequence
 
 from . import counting, partitions, qseries, verify
@@ -20,9 +21,9 @@ from . import counting, partitions, qseries, verify
 # The largest table --n-max and series --order accepted, so that a huge value
 # is a usage error and not a hang or a MemoryError.  Both costs grow faster
 # than n^1.5; cold, on 2 CPUs with Python 3.11.7, every row costs about one
-# p table, 3.5-4 s and 30 MB at n_max = 100000, and the costliest series
-# (crank0_alt) about 0.9 s at order 5000, 3 s at 10000 and 11.5 s and 23 MB
-# at 20000.
+# p table, 3-4 s and 30 MB at n_max = 100000 as CSV or JSON, and the
+# costliest series (crank0_alt) about 0.9 s at order 5000, 3 s at 10000 and
+# 11.5 s and 23 MB at 20000.
 # The library itself takes any size.
 TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
@@ -38,6 +39,12 @@ SERIES_ORDER_MAX = 20_000
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
+
+# table and series rows per stdout write.  Larger chunks save no time and
+# raise peak memory: at n_max = 20000, 256-row chunks add about 0.2 MB of
+# max-RSS to the 17.6 MB the run takes, and one write of all 20001 rows 7 MB;
+# 64-row chunks add under 0.1 MB.
+_ROWS_PER_WRITE = 64
 
 # --kind spellings that differ from their generating-function tag; every
 # other tag in qseries.GF_KINDS is its own spelling.
@@ -66,14 +73,26 @@ def _json_dump(payload: object) -> None:
 
 def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
                args: argparse.Namespace) -> None:
-    # rows are (n, value) pairs; CSV streams them, JSON dumps them at once.
+    # rows are (n, value) pairs of integers, so no CSV field needs quoting.
+    # They leave _ROWS_PER_WRITE at a time, one write per chunk, whether or
+    # not stdout is buffered.  A JSON chunk is _canonical of its dict list
+    # without the brackets, so the whole text is _canonical of every row,
+    # but only one chunk of dicts is ever alive.
+    rows = iter(rows)
+    chunks = iter(lambda: list(islice(rows, _ROWS_PER_WRITE)), [])
+    write = sys.stdout.write
     if args.format == "json":
-        _json_dump([{columns[0]: n, columns[1]: str(value)} for n, value in rows])
+        key, name = columns
+        write("[")
+        for index, chunk in enumerate(chunks):
+            text = _canonical([{key: n, name: str(value)} for n, value in chunk])
+            write(("," if index else "") + text[1:-1])
+        write("]\n")
         return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if not args.no_header:
-        writer.writerow(columns)
-    writer.writerows(rows)
+        write(",".join(columns) + "\n")
+    for chunk in chunks:
+        write("".join([f"{n},{value}\n" for n, value in chunk]))
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from mexcrank import cli, partitions, verify
+from mexcrank import cli, counting, partitions, verify
 from mexcrank.qseries import GF_KINDS, GfKind, gf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,6 +174,86 @@ class TestSeries:
             cli.main(["series", "--kind", "nope", "--order", "4"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class _CountingStdout:
+    # A stdout stand-in that keeps only the number of writes and the bytes.
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestRowChunks:
+    # table and series write their rows cli._ROWS_PER_WRITE at a time; the
+    # bytes must be those of one csv.writer row per line and of _canonical
+    # of the whole dict list, on both sides of every chunk boundary.
+    COMMANDS = {
+        "p": (("table", "--fn", "p", "--n-max"), ("n", "value"),
+              lambda n: counting.table_row("p", None, n)),
+        "M0": (("table", "--fn", "M", "--m", "0", "--n-max"), ("n", "value"),
+               lambda n: counting.table_row("M", 0, n)),  # M(0, 1) = -1
+        "poch": (("series", "--kind", "poch_q_inf", "--order"), ("n", "coefficient"),
+                 lambda n: gf(GfKind("poch_q_inf"), n).coeffs),
+    }
+
+    @staticmethod
+    def expected(columns, values, output):
+        rows = list(enumerate(values))
+        if output == "json":
+            return cli._canonical([{columns[0]: n, columns[1]: str(value)}
+                                   for n, value in rows]) + "\n"
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        if output == "csv":
+            writer.writerow(columns)
+        writer.writerows(rows)
+        return text.getvalue()
+
+    def test_chunk_size(self):
+        # The sizes below straddle the first, fourth and eighth chunk boundaries.
+        assert cli._ROWS_PER_WRITE == 64
+
+    @pytest.mark.parametrize("output", ["csv", "no-header", "json"])
+    @pytest.mark.parametrize("size", [0, 62, 63, 64, 254, 255, 256, 512])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bytes_match_whole_output(self, command, size, output, capsys):
+        prefix, columns, values = self.COMMANDS[command]
+        flags = {"csv": (), "no-header": ("--no-header",), "json": ("--format", "json")}
+        code, out, _ = run_cli([*prefix, str(size), *flags[output]], capsys)
+        assert code == 0
+        assert out == self.expected(columns, values(size), output)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_write_per_chunk(self, fmt, monkeypatch):
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["table", "--fn", "p", "--n-max", "2000", "--format", fmt]) == 0
+        assert stdout.chars > 2001 * 4
+        assert stdout.writes <= math.ceil(2001 / 64) + 2
+
+    def test_json_peak_memory_near_csv(self, monkeypatch):
+        # A dict for every row plus the whole document at once would take
+        # about 8 times the CSV peak at n_max = 20000.
+        monkeypatch.setattr(sys, "stdout", _CountingStdout())
+        argv = ["table", "--fn", "p", "--n-max", "20000", "--format"]
+        cli.main([*argv, "csv"])  # the recurrence's offset caches fill here
+        peaks = {}
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                assert cli.main([*argv, fmt]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] <= 1.5 * peaks["csv"]
 
 
 class TestStat:
