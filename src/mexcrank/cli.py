@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import counting, partitions, qseries, verify
 
@@ -29,21 +30,22 @@ TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify.  --n-max and --order size the same series and closed
-# forms as table and series do: at 20000 the costliest check takes about 30 s
-# and 465 MB as JSON (CRANK_GF_CONSISTENCY under --n-max, COR_CRANKRECUR
-# under --order), and all 14 checks as JSON 80-100 s and 712 MB at --n-max
-# 20000 and 55 s and 550 MB at --order 20000.  --budget is how far the
-# enumeration reaches, and its cost grows with p(n): --check PROP_MEXFORM
-# --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the statistics
-# sweep alone takes 3-4 s at 55; p(80) alone is 15.8M partitions.
+# forms as table and series do.  Cold, at 20000, the costliest check alone
+# takes about 12 s and 465 MB as JSON (CRANK_GF_CONSISTENCY under --n-max,
+# COR_CRANKRECUR under --order; 15 s and 139 MB as CSV), and all 14 checks
+# as JSON 38 s and 742 MB at --n-max 20000 and 39 s and 589 MB at --order
+# 20000, of which the closed-form rows hold 43 and 33 MiB.  --budget is how
+# far the enumeration reaches, and its cost grows with p(n): --check
+# PROP_MEXFORM --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the
+# statistics sweep alone takes 3-4 s at 55; p(80) alone is 15.8M partitions.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
 
-# table and series rows per stdout write.  Larger chunks save no time and
-# raise peak memory: at n_max = 20000, 256-row chunks add about 0.2 MB of
-# max-RSS to the 17.6 MB the run takes, and one write of all 20001 rows 7 MB;
-# 64-row chunks add under 0.1 MB.
+# table, series and verify CSV rows per stdout write.  Larger chunks save no
+# time and raise peak memory: at n_max = 20000, 256-row chunks add about
+# 0.2 MB of max-RSS to the 17.6 MB the table run takes, and one write of all
+# 20001 rows 7 MB; 64-row chunks add under 0.1 MB.
 _ROWS_PER_WRITE = 64
 
 # --kind spellings that differ from their generating-function tag; every
@@ -71,6 +73,12 @@ def _json_dump(payload: object) -> None:
     sys.stdout.write(_canonical(payload) + "\n")
 
 
+def _chunks(rows: Iterable) -> Iterator[list]:
+    # rows in lists of _ROWS_PER_WRITE, the last one shorter.
+    rows = iter(rows)
+    return iter(lambda: list(islice(rows, _ROWS_PER_WRITE)), [])
+
+
 def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
                args: argparse.Namespace) -> None:
     # rows are (n, value) pairs of integers, so no CSV field needs quoting.
@@ -78,8 +86,7 @@ def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
     # not stdout is buffered.  A JSON chunk is _canonical of its dict list
     # without the brackets, so the whole text is _canonical of every row,
     # but only one chunk of dicts is ever alive.
-    rows = iter(rows)
-    chunks = iter(lambda: list(islice(rows, _ROWS_PER_WRITE)), [])
+    chunks = _chunks(rows)
     write = sys.stdout.write
     if args.format == "json":
         key, name = columns
@@ -230,9 +237,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # Each report leaves as soon as it is made: CSV writes its rows, JSON
     # keeps only its text, because the top-level "pass" sorts before "reports".
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    # The CSV rows pass through one csv.writer on a buffer, which leaves in
+    # one write per _ROWS_PER_WRITE rows, whether or not stdout is buffered.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     if args.format == "csv" and not args.no_header:
-        writer.writerow(("check_id", "params", "lhs", "rhs", "pass"))
+        sys.stdout.write("check_id,params,lhs,rhs,pass\n")
     all_passed, texts = True, []
     for check in selected:
         start = time.perf_counter()
@@ -245,9 +255,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "json":
             texts.append(_canonical(report.to_jsonable()))
         else:
-            writer.writerows((report.check_id, _canonical(dict(record.params)), str(record.lhs),
-                              str(record.rhs), "true" if record.passed else "false")
-                             for record in report.records)
+            rows = ((report.check_id, _canonical(dict(record.params)), str(record.lhs),
+                     str(record.rhs), "true" if record.passed else "false")
+                    for record in report.records)
+            for chunk in _chunks(rows):
+                writer.writerows(chunk)
+                sys.stdout.write(buffer.getvalue())
+                buffer.seek(0)
+                buffer.truncate()
         del report  # before the next check builds its own
     if args.format == "json":
         sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')

@@ -160,6 +160,8 @@ def pochhammer_finite(k: int, order: int) -> TruncatedSeries:
     """The finite product (1-q)(1-q^2)...(1-q^k), truncated.  k=0 gives 1."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for i in range(1, min(k, order) + 1):

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,24 @@ class TestVerify:
         assert lines[1] == 'EWELL_ODD,"{""k"":0}",0,0,true'
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("header", [(), ("--no-header",)], ids=["header", "no-header"])
+    def test_csv_one_write_per_chunk(self, header, capsys, monkeypatch):
+        # Each check's records leave in chunks of _ROWS_PER_WRITE, one write
+        # each, and the header in one more, whether or not stdout is buffered.
+        argv = ["verify", "--check", "EWELL_ODD", "--check", "INEQ_OE", "--n-max", "300",
+                *header]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = out.splitlines()[0 if header else 1:]
+        records = Counter(row.split(",", 1)[0] for row in rows)
+        assert records == {"EWELL_ODD": 301, "INEQ_OE": 298}
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == 0
+        assert stdout.chars == len(out)
+        assert stdout.writes == (not header) + sum(
+            math.ceil(count / cli._ROWS_PER_WRITE) for count in records.values())
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["verify", "--check", "THM_JCRANK", "--n-max", "15", "--budget", "15",
                 "--format", "json"]
@@ -527,10 +546,12 @@ class TestCeilings:
         assert run_cli([*command, flag, "5"], capsys)[0] == 0
         monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
         monkeypatch.setattr(partitions, "_DISTINCT_TABLE", [1])
+        monkeypatch.setattr(counting, "_ROWS", {})
         code, out, err = run_cli([*command, flag, "6"], capsys)
         assert (code, out) == (2, "")
         assert f"{flag} must be in 0..5, got 6" in err
         assert partitions._PARTITION_TABLE == partitions._DISTINCT_TABLE == [1]
+        assert counting._ROWS == {}
 
     def test_help_states_ceilings(self):
         commands = next(action for action in cli.build_parser()._actions

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import takewhile
+
 import pytest
 
 from mexcrank import counting, partitions
@@ -242,7 +245,83 @@ def test_table_row_leaves_the_shared_p_table_alone(monkeypatch):
     def forbidden(limit):
         raise AssertionError(f"table_row read the shared p table to {limit}")
 
+    monkeypatch.setattr(counting, "_ROWS", {})
     monkeypatch.setattr(counting, "shared_partition_table", forbidden)
     monkeypatch.setattr(partitions, "shared_partition_table", forbidden)
     for (fn, param), row in expected.items():
         assert table_row(fn, param, 500) == row
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    rows = {}
+    monkeypatch.setattr(counting, "_ROWS", rows)
+    return rows
+
+
+# Each row key with the per-n function that reads its entry n.  No public
+# function reads the p row, so _count stands in for one.
+ROW_READERS = {
+    ("p", None): partial(counting._count, "p", None),
+    **{("M", m): partial(crank_count, m) for m in range(13)},
+    **{("crank_geq", j): partial(crank_geq_count, j) for j in range(6)},
+    **{("x_mex", m): partial(mex_count, m) for m in range(1, 7)},
+    ("o", None): odd_mex_count,
+    ("e", None): even_mex_count,
+    ("o1", None): mex_1mod4_count,
+    ("o3", None): mex_3mod4_count,
+    counting._CRANK_ZERO[0]: crank_zero_expansion,
+    counting._EWELL[0]: lambda n: (ewell_odd_sum if n % 2 else ewell_even_sum)(n // 2),
+}
+
+
+def plain_sum(key, n):
+    # sum c p(n - g) over the key's terms with g <= n, one term at a time.
+    fn, param = key
+    private = dict((counting._CRANK_ZERO, counting._EWELL))
+    stream = STREAMS[fn][2] if fn in STREAMS else private[key]
+    terms = takewhile(lambda term: term[0] <= n, stream(param))
+    return sum(c * partition_count(n - g) for g, c in terms)
+
+
+def test_row_readers_cover_every_stream():
+    assert {fn for fn, _ in ROW_READERS} == {*STREAMS, "crank_zero", "ewell"}
+
+
+@pytest.mark.parametrize("key", ROW_READERS, ids=str)
+def test_row_matches_plain_sum(key, fresh_rows):
+    # n = 0..700 crosses the block edges 127/128, 255/256, 383/384 and on.
+    expected = [plain_sum(key, n) for n in range(701)]
+    assert [ROW_READERS[key](n) for n in range(701)] == expected
+    assert list(fresh_rows) == [key]
+    assert len(fresh_rows[key]) == (700 | (partitions._BLOCK - 1)) + 1
+
+
+@pytest.mark.parametrize("key", ROW_READERS, ids=str)
+def test_row_grown_one_n_at_a_time_matches_one_call(key, monkeypatch):
+    read = ROW_READERS[key]
+    monkeypatch.setattr(counting, "_ROWS", {})
+    stepwise = [read(n) for n in range(701)]
+    grown = counting._ROWS[key]
+    monkeypatch.setattr(counting, "_ROWS", {})
+    assert read(700) == stepwise[700]
+    assert counting._ROWS[key] == grown
+
+
+def test_m_and_minus_m_read_one_row(fresh_rows):
+    assert [crank_count(-3, n) for n in range(300)] == [crank_count(3, n) for n in range(300)]
+    assert list(fresh_rows) == [("M", 3)]
+
+
+@pytest.mark.parametrize("fn, count, bad, good", [("crank_geq", crank_geq_count, -1, 0),
+                                                   ("x_mex", mex_count, 0, 1)],
+                         ids=["crank_geq", "x_mex"])
+def test_invalid_param_raises_at_every_n(fn, count, bad, good, fresh_rows):
+    # The parameter is checked on every call, hit or miss, and before the
+    # n < 0 shortcut, so a row grown for a valid parameter changes nothing.
+    for _ in range(2):
+        for n in (-5, 0, 8):
+            with pytest.raises(ValueError):
+                count(bad, n)
+        count(good, 8)
+    assert list(fresh_rows) == [(fn, good)]

@@ -7,7 +7,7 @@ from functools import cache
 
 import pytest
 
-from mexcrank import partitions
+from mexcrank import counting, partitions
 from mexcrank.partitions import (
     FrobeniusSymbol,
     MalformedSymbolError,
@@ -203,6 +203,7 @@ class TestCountingTables:
         # entry asked for, whether grown one n at a time or in one call.
         reference = {"_PARTITION_TABLE": reference_quotient,
                      "_DISTINCT_TABLE": reference_distinct}[table]
+        monkeypatch.setattr(counting, "_ROWS", {})  # rows read the p table
         monkeypatch.setattr(partitions, table, [1])
         stepwise = [count(n) for n in range(601)]
         grown = getattr(partitions, table)
@@ -213,6 +214,7 @@ class TestCountingTables:
         assert getattr(partitions, table) == grown == reference()[:length]
 
     def test_shared_table_prefix_matches_partition_count(self, monkeypatch):
+        monkeypatch.setattr(counting, "_ROWS", {})
         monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
         table = partitions.shared_partition_table(300)
         length = (300 | (partitions._BLOCK - 1)) + 1
@@ -231,6 +233,7 @@ class TestCountingTables:
             calls.append(args[1])
             grow(*args)
 
+        monkeypatch.setattr(counting, "_ROWS", {})
         monkeypatch.setattr(partitions, table, [1])
         monkeypatch.setattr(partitions, "_grow", counted)
         for n in range(2001):
@@ -239,6 +242,7 @@ class TestCountingTables:
         assert len(getattr(partitions, table)) == (2000 | (partitions._BLOCK - 1)) + 1
 
     def test_hits_do_not_grow(self, monkeypatch):
+        monkeypatch.setattr(counting, "_ROWS", {})
         monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
         monkeypatch.setattr(partitions, "_DISTINCT_TABLE", [1])
         partitions.shared_partition_table(50)

@@ -159,6 +159,16 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer_finite(-1, 4)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_negative_order_rejected_like_one(self, k):
+        # The same message as one(), TruncatedSeries(..., order) and gf().
+        message = "order must be nonnegative, got -1"
+        for build in (lambda: pochhammer_finite(k, -1), lambda: one(-1),
+                      lambda: TruncatedSeries((1, 2), -1),
+                      lambda: gf(GfKind("euler_inv"), -1)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_matches_explicit_product(self):
         expected = one(20)
         for k in range(1, 7):
