@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import time
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -31,9 +32,9 @@ SERIES_ORDER_MAX = 20_000
 
 # The same for verify.  --n-max and --order size the same series and closed
 # forms as table and series do.  Cold, at 20000, the costliest check alone
-# takes about 12 s and 465 MB as JSON (CRANK_GF_CONSISTENCY under --n-max,
-# COR_CRANKRECUR under --order; 15 s and 139 MB as CSV), and all 14 checks
-# as JSON 38 s and 742 MB at --n-max 20000 and 39 s and 589 MB at --order
+# takes about 13 s and 305 MB as JSON (CRANK_GF_CONSISTENCY under --n-max,
+# COR_CRANKRECUR under --order; 13 s and 139 MB as CSV), and all 14 checks
+# as JSON 40 s and 581 MB at --n-max 20000 and 38 s and 452 MB at --order
 # 20000, of which the closed-form rows hold 43 and 33 MiB.  --budget is how
 # far the enumeration reaches, and its cost grows with p(n): --check
 # PROP_MEXFORM --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the
@@ -65,8 +66,52 @@ def _fail(message: str) -> int:
 
 
 def _canonical(payload: object) -> str:
-    # The one JSON encoding of every stdout byte: compact, with sorted keys.
+    # The JSON encoding of every stdout byte: compact, with sorted keys.  stat
+    # writes through it; rows and verify records are written by the renderer
+    # below, which gives the same bytes without building a dict per row.
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# The renderer: a str is encoded once, an int is str(), and every other value
+# falls back to _canonical (format(True) is "True", not "true").  Its caches
+# hold the registry's few dozen check ids, statements, sides and key tuples.
+_string_text = lru_cache(maxsize=None)(_canonical)
+
+
+def _value_text(value: object) -> str:
+    if type(value) is int:
+        return str(value)
+    return _string_text(value) if type(value) is str else _canonical(value)
+
+
+@lru_cache(maxsize=None)
+def _template(keys: tuple[str, ...]) -> str:
+    # str.format template of an object with these keys, sorted; it takes the
+    # value texts in the order of keys.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return "{{" + ",".join(_string_text(keys[i]).replace("{", "{{").replace("}", "}}")
+                           + f":{{{i}}}" for i in order) + "}}"
+
+
+def _params_text(params: verify.Params) -> str:
+    return _template(tuple(params)).format(*map(_value_text, params.values()))
+
+
+def _report_text(report: verify.VerificationReport) -> str:
+    # _canonical(report.to_jsonable()), written from the records themselves.
+    # The report's head and tail ride on its first and last record texts, so
+    # that the one join is the one copy of the whole text.
+    check_id = _string_text(report.check_id)
+    head = f'{{"check_id":{check_id},"lhs":"'
+    texts = [f'{head}{lhs!s}","params":{_params_text(params)},"pass":'
+             f'{"true" if lhs == rhs else "false"},"rhs":"{rhs!s}"}}'
+             for params, lhs, rhs in report.records] or [""]
+    failed = [text for text, (_, lhs, rhs) in zip(texts, report.records) if lhs != rhs]
+    texts[0] = (f'{{"check_id":{check_id},"failed":{len(failed)},"first_counterexample":'
+                f'{failed[0] if failed else "null"},"pass":{"false" if failed else "true"},'
+                f'"records":[{texts[0]}')
+    texts[-1] += f'],"statement":{_string_text(report.statement)},"total":{len(report.records)}}}'
+    return ",".join(texts)
 
 
 def _json_dump(payload: object) -> None:
@@ -83,17 +128,16 @@ def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
                args: argparse.Namespace) -> None:
     # rows are (n, value) pairs of integers, so no CSV field needs quoting.
     # They leave _ROWS_PER_WRITE at a time, one write per chunk, whether or
-    # not stdout is buffered.  A JSON chunk is _canonical of its dict list
-    # without the brackets, so the whole text is _canonical of every row,
-    # but only one chunk of dicts is ever alive.
+    # not stdout is buffered.  A JSON row is the object {n, "value"} through
+    # the template of its keys, so the whole text is _canonical of every row.
     chunks = _chunks(rows)
     write = sys.stdout.write
     if args.format == "json":
-        key, name = columns
+        template = _template(columns)
         write("[")
         for index, chunk in enumerate(chunks):
-            text = _canonical([{key: n, name: str(value)} for n, value in chunk])
-            write(("," if index else "") + text[1:-1])
+            text = ",".join([template.format(n, f'"{value}"') for n, value in chunk])
+            write(("," if index else "") + text)
         write("]\n")
         return
     if not args.no_header:
@@ -253,9 +297,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{check.check_id}: {status} ({len(report.records)} records, {elapsed_ms} ms)",
               file=sys.stderr)
         if args.format == "json":
-            texts.append(_canonical(report.to_jsonable()))
+            texts.append(_report_text(report))
         else:
-            rows = ((report.check_id, _canonical(dict(record.params)), str(record.lhs),
+            rows = ((report.check_id, _params_text(record.params), str(record.lhs),
                      str(record.rhs), "true" if record.passed else "false")
                     for record in report.records)
             for chunk in _chunks(rows):

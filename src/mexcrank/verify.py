@@ -20,9 +20,9 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.37-0.41 s (quartiles
-of 11 runs) and 25 MB max-RSS at the default budget 35 (18 MB as CSV), and
-0.66-0.83 s and 20 MB at ``--n-max 45 --budget 45`` (2 CPUs, Python
+Cold ``mexcrank verify --all --format json`` takes 0.39-0.43 s (quartiles
+of 11 runs) and 21 MB max-RSS at the default budget 35 (18 MB as CSV), and
+0.75-0.89 s and 18 MB at ``--n-max 45 --budget 45`` (2 CPUs, Python
 3.11.7).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank

@@ -511,6 +511,55 @@ class TestVerify:
         assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class TestRenderer:
+    # verify writes each record from cached templates, not through a dict;
+    # _canonical of the library's dict form is the oracle of every byte.
+    @staticmethod
+    def assert_renders(report):
+        assert cli._report_text(report) == cli._canonical(report.to_jsonable())
+        for record in report.records:
+            assert cli._params_text(record.params) == cli._canonical(dict(record.params))
+
+    @pytest.mark.parametrize("check_id", sorted(verify.checks_by_id(12, budget=12)))
+    def test_every_check(self, check_id):
+        self.assert_renders(verify.run_check(verify.checks_by_id(12, budget=12)[check_id]))
+
+    def test_failing_check(self):
+        base = verify.checks_by_id(12, budget=12)["COR_CRANKRECUR"]
+        report = verify.run_check(verify.perturbed(base, {"n": 5}, 1))
+        payload = report.to_jsonable()
+        assert payload["failed"] > 1
+        assert payload["first_counterexample"]["params"]["n"] == 5
+        self.assert_renders(report)
+
+    def test_escapes_and_other_value_types(self):
+        # Quotes, backslashes, newlines and non-ASCII text escape as json does;
+        # a bool is "true", not str(True), and a key may hold a brace.
+        odd = 'say "hi"\\\né'
+        points = ({"n": 2, "ok": True, "{k}": None, "x": 1.5, "s": odd},
+                  {"n": -3, "ok": False, "{k}": [1, "a"], "x": 10**30, "s": ""})
+        leg = verify.Leg(odd, lambda: points, lambda p: p["n"], lambda p: 7)
+        check = verify.IdentityCheck(f"ID{odd}", odd, (leg, leg._replace(side=None)))
+        report = verify.run_check(check)
+        assert not report.passed
+        self.assert_renders(report)
+        self.assert_renders(verify.VerificationReport("EMPTY", "no records", ()))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_dict_on_the_cli_path(self, fmt, capsys, monkeypatch):
+        argv = ["verify", "--n-max", "12", "--budget", "12", "--format", fmt]
+        expected = run_cli(argv, capsys)
+
+        def refuse(*args):
+            raise AssertionError("to_jsonable called")
+
+        monkeypatch.setattr(verify.CheckRecord, "to_jsonable", refuse)
+        monkeypatch.setattr(verify.VerificationReport, "to_jsonable", refuse)
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (0, expected[1])
+        assert expected[0] == 0
+
+
 class TestCeilings:
     # Sizes past the ceilings are usage errors, raised before any table
     # grows or any grid is built: without them the table and series runs
