@@ -9,8 +9,6 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -114,8 +112,13 @@ def _report_text(report: verify.VerificationReport) -> str:
     return ",".join(texts)
 
 
-def _json_dump(payload: object) -> None:
-    sys.stdout.write(_canonical(payload) + "\n")
+def _csv_line(check_id: str, record: verify.CheckRecord) -> str:
+    # The bytes csv.writer gives for the record: its params text always holds
+    # a '"', so it is quoted with each '"' doubled, and no check id, integer
+    # or true/false needs quoting.
+    params = _params_text(record.params).replace('"', '""')
+    passed = "true" if record.passed else "false"
+    return f'{check_id},"{params}",{record.lhs},{record.rhs},{passed}\n'
 
 
 def _chunks(rows: Iterable) -> Iterator[list]:
@@ -252,7 +255,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
         "frobenius": {"top": list(symbol.top), "bottom": list(symbol.bottom)},
         "mex_j": {str(j): m for j, m in mex_j.items()},
     }
-    _json_dump(record)
+    sys.stdout.write(_canonical(record) + "\n")
     return 0
 
 
@@ -281,10 +284,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # Each report leaves as soon as it is made: CSV writes its rows, JSON
     # keeps only its text, because the top-level "pass" sorts before "reports".
-    # The CSV rows pass through one csv.writer on a buffer, which leaves in
-    # one write per _ROWS_PER_WRITE rows, whether or not stdout is buffered.
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # The CSV rows leave in one write per _ROWS_PER_WRITE rows, whether or not
+    # stdout is buffered.
     if args.format == "csv" and not args.no_header:
         sys.stdout.write("check_id,params,lhs,rhs,pass\n")
     all_passed, texts = True, []
@@ -299,14 +300,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "json":
             texts.append(_report_text(report))
         else:
-            rows = ((report.check_id, _params_text(record.params), str(record.lhs),
-                     str(record.rhs), "true" if record.passed else "false")
-                    for record in report.records)
-            for chunk in _chunks(rows):
-                writer.writerows(chunk)
-                sys.stdout.write(buffer.getvalue())
-                buffer.seek(0)
-                buffer.truncate()
+            for chunk in _chunks(report.records):
+                sys.stdout.write("".join([_csv_line(report.check_id, record) for record in chunk]))
         del report  # before the next check builds its own
     if args.format == "json":
         sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')

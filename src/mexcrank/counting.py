@@ -7,21 +7,22 @@ a stream of (offset g, coefficient c) pairs whose offsets never decrease.
 which :func:`_stream` checks for every caller.  Each public function reads
 entry n of a cached row of its stream, :func:`_row_entry`: the row holds
 sum_i c_i p(n - g_i) for n = 0, 1, ... and, like the shared p table, grows
-to the end of the block of 128 that holds the n asked for.  Growing it adds,
-for each term, c times a slice of the shared p table into the new entries,
-so the sums are done in C and a call that hits costs a dict lookup and an
-index.  There is one row per stream and parameter (M is keyed by |m|, and
-Ewell's two sums share one row), held for the life of the process like the p
-table: at most (rows used) x (largest n asked, rounded up to 128) entries.
-The default ``verify`` grows 40 rows, 13,952 entries in all, which take
-0.53 MiB (``sys.getsizeof`` of each row and its entries, 64-bit CPython
-3.11.7); ``verify --order 20000`` grows them to 33.4 MiB and ``--n-max
-20000`` to 42.7 MiB.  A ``table`` row, :func:`table_row`, takes the other
-route: the row's generating function is S(q)/(q;q)_inf, with S the sum of
-c q^g, so :func:`mexcrank.partitions.euler_quotient` divides S by the
-pentagonal recurrence.  A row then costs about what the p table to n_max
-costs, and never reads or grows the shared table; the row tests compare it
-with the cached rows.  The streams, with t_i = i(i + 1)/2:
+to the end of the block of 128 that holds the n asked for.  Growing it
+sums, one block at a time, the slices of the shared p table that line up
+with the new entries, in C, with the kernel that the p and q recurrences
+use, ``partitions._slice_sums``; a call that hits costs a dict lookup and
+an index.  There is one row per stream and parameter (M is keyed by |m|,
+and Ewell's two sums share one row), held for the life of the process like
+the p table: at most (rows used) x (largest n asked, rounded up to 128)
+entries.  The default ``verify`` grows 40 rows, 13,952 entries in all,
+which take 0.54 MiB (``sys.getsizeof`` of each row and its entries, 64-bit
+CPython 3.11.7); ``verify --order 20000`` grows them to 33.4 MiB and
+``--n-max 20000`` to 42.8 MiB.  A ``table`` row, :func:`table_row`, takes
+the other route: the row's generating function is S(q)/(q;q)_inf, with S
+the sum of c q^g, so :func:`mexcrank.partitions.euler_quotient` divides S by
+the pentagonal recurrence.  A row then costs about what the p table to
+n_max costs, and never reads or grows the shared table; the row tests
+compare it with the cached rows.  The streams, with t_i = i(i + 1)/2:
 
 * M(m, n): k(k + 2|m| - 1)/2 with (-1)^(k+1), then k(k + 2|m| + 1)/2 with
   (-1)^k, for k >= 1; crank >= j: k(k - 1)/2 + kj with (-1)^(k+1);
@@ -40,11 +41,11 @@ that EWELL_EVEN checks them against.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, count, cycle, islice, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, chain, count, cycle, islice
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .partitions import _BLOCK, euler_quotient, shared_partition_table
+from .partitions import _BLOCK, _slice_sums, euler_quotient, shared_partition_table
 
 Terms = Iterable[tuple[int, int]]
 
@@ -76,21 +77,22 @@ def _row_entry(key: tuple[str, int | None], stream: Callable[[int | None], Terms
 
 
 def _extend(row: list[int], terms: Terms, limit: int) -> None:
-    # Append sum_g c p(n - g) for n = len(row)..limit: each term with g <= limit
-    # adds (or subtracts) |c| times the slice of p that lines up with the new
-    # entries from g up, all in C.
-    p = shared_partition_table(limit)
-    lo = len(row)
-    new = [0] * (limit + 1 - lo)
+    # Append sum_g c p(n - g) for n = len(row)..limit: a term with g <= limit
+    # enters the offsets added, or subtracted, |c| times, and each block of
+    # _BLOCK new entries is the difference of their slice sums over the
+    # shared p table.  The plus sums are a list, so that their slices are
+    # freed before the minus slices are taken.
+    plus: list[int] = []
+    minus: list[int] = []
     for g, c in terms:
         if g > limit:
             break
-        start = max(lo, g)
-        part = p[start - g:limit + 1 - g]
-        if abs(c) != 1:
-            part = map(mul, part, repeat(abs(c)))
-        new[start - lo:] = map(add if c > 0 else sub, new[start - lo:], part)
-    row.extend(new)
+        (plus if c > 0 else minus).extend([g] * abs(c))
+    p = shared_partition_table(limit)
+    for start in range(len(row), limit + 1, _BLOCK):
+        stop = min(start + _BLOCK, limit + 1)
+        row.extend(map(sub, list(_slice_sums(p, plus, start, stop)),
+                       _slice_sums(p, minus, start, stop)))
 
 
 def _triangular_terms(first: int, period: Sequence[int]) -> Terms:

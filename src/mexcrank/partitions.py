@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import takewhile
 from math import isqrt
 from operator import sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class UndefinedMexError(ValueError):
@@ -313,16 +312,16 @@ def partition_statistics_table(limit: int) -> tuple[PartitionStatistics, ...]:
 # sum_k (-1)^k q^(k^2) = (q;q)_inf / (-q;q)_inf.  Neither route is the
 # product (q^2;q^2)_inf / (q;q)_inf that mexcrank.qseries builds q(n) from,
 # so the q(n) cross-checks compare two independent computations.  Both
-# tables grow through one helper, _grow, which reads the offsets split into
-# the ones added and the ones subtracted and appends entries a block of
-# _BLOCK at a time; the shared tables grow to the end of the block that holds
-# the entry asked for, so a table grown one n at a time, as verify grows it,
-# still grows a whole block per call.  Growing the p table to 20000 takes
-# about 0.2 s on 2 CPUs.  A value already in a table costs a length check
-# and one index, and never reaches _grow.  The shared tables are
-# only appended to under the GIL, so concurrent reads are safe once a build
-# call has returned; writers must not race with each other (the CLI and
-# harness build single-threaded).
+# tables grow through one helper, _grow, which takes its recurrence as
+# plain arguments and appends entries a block of _BLOCK at a time; the
+# shared tables grow to the end of the block that holds the entry asked
+# for, so a table grown one n at a time, as verify grows it, still grows a
+# whole block per call.  Growing the p table to 20000 takes about 0.2 s on
+# 2 CPUs.  A value already in a table costs a length check and one index,
+# and never reaches _grow.  The shared tables are only appended to under
+# the GIL, so concurrent reads are safe once a build call has returned;
+# writers must not race with each other (the CLI and harness build
+# single-threaded).
 _PARTITION_TABLE: list[int] = [1]
 _DISTINCT_TABLE: list[int] = [1]
 
@@ -341,48 +340,31 @@ def _pentagonal(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(plus), tuple(minus)
 
 
-# A recurrence maps a bound to (plus, minus, scale, forcing): the offsets
-# added and the offsets subtracted, ascending and holding every one up to
-# the bound, the factor on their sum, and e(n) as a mapping.  The bound is a
-# power of two, so a table grown one entry at a time, as verify grows it,
-# splits its offsets once per doubling, and each cache holds at most one
-# entry per power of two up to the largest n asked for.
-@cache
-def _partition_recurrence(bound: int) -> tuple:
-    return (*_pentagonal(bound), 1, MappingProxyType({}))
-
-
-@cache
-def _distinct_recurrence(bound: int) -> tuple:
-    squares = tuple(k * k for k in range(1, isqrt(bound) + 1))
-    plus, minus = _pentagonal(bound)
-    return (squares[::2], squares[1::2], 2,
-            MappingProxyType(dict.fromkeys(minus, 1) | dict.fromkeys(plus, -1)))
-
-
 # The blocks are [start, stop) with stop a multiple of _BLOCK, a power of
 # two, or limit + 1.  An offset g >= _BLOCK reads only entries below start,
 # so the terms of these "far" offsets for the whole block are column sums of
-# slices, done in C; the "near" offsets, below _BLOCK (18 pentagonal numbers
-# and 11 squares), run per n, since they read entries of the block itself.
+# slices, done in C by _slice_sums; the "near" offsets, below _BLOCK (18
+# pentagonal numbers and 11 squares), run per n, since they read entries of
+# the block itself.
 _BLOCK = 128
 
 
-def _grow(table: list[int], limit: int, recurrence: Callable[[int], tuple]) -> None:
+def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int],
+          scale: int, forcing: Mapping[int, int]) -> None:
     # Append, for n = len(table)..limit,
     #   scale * (sum_(g in plus) table[n - g] - sum_(g in minus) table[n - g])
     #   + forcing.get(n, 0),
-    # leaving out the offsets past n.
-    plus, minus, scale, forcing = recurrence(1 << max(limit, 0).bit_length())
-    near_plus = plus[:bisect_left(plus, _BLOCK)]
-    near_minus = minus[:bisect_left(minus, _BLOCK)]
+    # leaving out the offsets past n; plus and minus are ascending and hold
+    # every offset up to limit.
+    i, j = bisect_left(plus, _BLOCK), bisect_left(minus, _BLOCK)
+    near_plus, far_plus, near_minus, far_minus = plus[:i], plus[i:], minus[:j], minus[j:]
     start = len(table)
     while start <= limit:
         stop = min((start | (_BLOCK - 1)) + 1, limit + 1)
         # The plus sums are a list, so that their slices are freed before
         # the minus slices are taken.
-        far = map(sub, list(_far_sums(table, plus, start, stop)),
-                  _far_sums(table, minus, start, stop))
+        far = map(sub, list(_slice_sums(table, far_plus, start, stop)),
+                  _slice_sums(table, far_minus, start, stop))
         for n, acc in zip(range(start, stop), far):
             for g in near_plus:
                 if g > n:
@@ -396,14 +378,15 @@ def _grow(table: list[int], limit: int, recurrence: Callable[[int], tuple]) -> N
         start = stop
 
 
-def _far_sums(table: list[int], offsets: tuple[int, ...], start: int,
-              stop: int) -> Iterator[int]:
-    # sum_g table[n - g] for n = start..stop-1 over the offsets
-    # _BLOCK <= g < stop, leaving out g > n: the slices are taken now, before
-    # the block's first entry is appended.
+def _slice_sums(table: Sequence[int], offsets: Sequence[int], start: int,
+                stop: int) -> Iterator[int]:
+    # sum_g table[n - g] for n = start..stop-1 over the ascending offsets
+    # g < stop, leaving out g > n: the column sums of one slice of table per
+    # offset, all in C.  The slices are taken now, so a caller may append to
+    # table while it reads the sums.
     zeros = [0] * (stop - start)
     slices = [table[start - g:stop - g] if g <= start else zeros[:g - start] + table[:stop - g]
-              for g in offsets[bisect_left(offsets, _BLOCK):bisect_left(offsets, stop)]]
+              for g in offsets[:bisect_left(offsets, stop)]]
     return map(sum, zip(zeros, *slices))
 
 
@@ -428,7 +411,7 @@ def euler_quotient(terms: Iterable[tuple[int, int]], limit: int) -> list[int]:
     for g, c in takewhile(lambda term: term[0] <= limit, terms):
         forcing[g] = forcing.get(g, 0) + c
     table: list[int] = []
-    _grow(table, limit, lambda bound: (*_partition_recurrence(bound)[:3], forcing))
+    _grow(table, limit, *_pentagonal(limit), 1, forcing)
     return table
 
 
@@ -438,7 +421,8 @@ def shared_partition_table(limit: int) -> Sequence[int]:
     Read only: callers index it and never change it.
     """
     if limit >= len(_PARTITION_TABLE):
-        _grow(_PARTITION_TABLE, limit | (_BLOCK - 1), _partition_recurrence)
+        limit |= _BLOCK - 1
+        _grow(_PARTITION_TABLE, limit, *_pentagonal(limit), 1, {})
     return _PARTITION_TABLE
 
 
@@ -454,7 +438,11 @@ def distinct_parts_count(n: int) -> int:
     if n < 0:
         return 0
     if n >= len(_DISTINCT_TABLE):
-        _grow(_DISTINCT_TABLE, n | (_BLOCK - 1), _distinct_recurrence)
+        limit = n | (_BLOCK - 1)
+        squares = [k * k for k in range(1, isqrt(limit) + 1)]
+        plus, minus = _pentagonal(limit)
+        _grow(_DISTINCT_TABLE, limit, squares[::2], squares[1::2], 2,
+              dict.fromkeys(minus, 1) | dict.fromkeys(plus, -1))
     return _DISTINCT_TABLE[n]
 
 

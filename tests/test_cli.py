@@ -245,7 +245,7 @@ class TestRowChunks:
         # about 8 times the CSV peak at n_max = 20000.
         monkeypatch.setattr(sys, "stdout", _CountingStdout())
         argv = ["table", "--fn", "p", "--n-max", "20000", "--format"]
-        cli.main([*argv, "csv"])  # the recurrence's offset caches fill here
+        cli.main([*argv, "csv"])  # one-off allocations fall outside the measured runs
         peaks = {}
         for fmt in ("csv", "json"):
             tracemalloc.start()
@@ -394,6 +394,15 @@ class TestVerify:
         assert code == 0
         canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
         assert out == canonical + "\n"
+
+    def test_csv_is_csv_writer_quoting(self, capsys):
+        # Every params shape, side strings included, as csv.writer quotes it.
+        code, out, _ = run_cli(["verify", "--all", "--n-max", "12", "--budget", "12"], capsys)
+        assert code == 0
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+        assert out == buffer.getvalue()
+        assert '""side"":' in out
 
     def test_cold_processes_agree(self):
         # Five cold processes, each growing the p(n) and q(n) tables from

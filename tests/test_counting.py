@@ -223,17 +223,16 @@ def test_table_row_matches_per_n(fn, param):
 
 @pytest.mark.parametrize("fn, param", ROWS)
 def test_table_row_across_block_boundaries(fn, param):
-    # The recurrence offsets are cached per power of two of n_max, so the n_max
-    # in (2^(k-1), 2^k] form one block read with one offset split.  Rows end
-    # just before, at and just after such bounds.
+    # The recurrence grows a row a block of 128 at a time.  Rows end inside
+    # the first block, where every offset read is below the block width, and
+    # one entry into the ninth block.
     for n_max in (0, 1, 2, 3, 4, 63, 64, 65, 1025):
         expected = [PER_N[fn](param, n) for n in range(n_max + 1)]
         assert table_row(fn, param, n_max) == expected, n_max
 
 
 def test_table_row_past_two_default_blocks():
-    # 1025 = 2 * 512 + 1: two widths of the former block kernel plus one, and
-    # past the 1024 bound on which the recurrence offsets are split again.
+    # 1025 = 8 * 128 + 1: one entry into the ninth block of the recurrence.
     n_max = 1025
     assert table_row("M", 3, n_max) == [crank_count(3, n) for n in range(n_max + 1)]
 
@@ -306,6 +305,29 @@ def test_row_grown_one_n_at_a_time_matches_one_call(key, monkeypatch):
     monkeypatch.setattr(counting, "_ROWS", {})
     assert read(700) == stepwise[700]
     assert counting._ROWS[key] == grown
+
+
+def test_cold_jump_sums_one_block_per_kernel_call(fresh_rows, monkeypatch):
+    # A row grown from empty to n = 3000 in one call reads the shared p table
+    # one block at a time, so no kernel call holds slices wider than a block.
+    # The crank-zero stream has coefficients +-2, each a term entered twice.
+    slice_sums, widths = counting._slice_sums, []
+
+    def recorded(table, offsets, start, stop):
+        assert 0 < stop - start <= partitions._BLOCK
+        widths.append(stop - start)
+        return slice_sums(table, offsets, start, stop)
+
+    monkeypatch.setattr(counting, "_slice_sums", recorded)
+    jumped = {"M3": crank_count(3, 3000), "crank_zero": crank_zero_expansion(3000)}
+    assert sum(widths) == 2 * 2 * 3072  # two rows, plus and minus sums
+    rows = {"M3": fresh_rows[("M", 3)], "crank_zero": fresh_rows[counting._CRANK_ZERO[0]]}
+    monkeypatch.setattr(counting, "_ROWS", {})
+    stepwise = {"M3": [crank_count(3, n) for n in range(3001)],
+                "crank_zero": [crank_zero_expansion(n) for n in range(3001)]}
+    assert {name: row[3000] for name, row in stepwise.items()} == jumped
+    assert rows["M3"][:3001] == stepwise["M3"] == table_row("M", 3, 3000)
+    assert rows["crank_zero"][:3001] == stepwise["crank_zero"] == table_row("M", 0, 3000)
 
 
 def test_m_and_minus_m_read_one_row(fresh_rows):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cache
 
@@ -99,6 +100,20 @@ def crank_forcing(m):
         terms += [(k * (k + 2 * abs(m) - 1) // 2, sign), (k * (k + 2 * abs(m) + 1) // 2, -sign)]
         k += 1
     return tuple(terms)
+
+
+def _partition_recurrence(limit):
+    """The recurrence arguments of partitions._grow for p(n) up to limit:
+    the pentagonal offsets added and subtracted, scale 1 and no forcing."""
+    signs = list(pentagonal_signs(limit))
+    return ([g for g, sign in signs if sign > 0], [g for g, sign in signs if sign < 0], 1, {})
+
+
+def _distinct_recurrence(limit):
+    """The same for q(n): the odd squares added and the even squares
+    subtracted, scale 2, and e(n) as the forcing."""
+    squares = [k * k for k in range(1, math.isqrt(limit) + 1)]
+    return (squares[::2], squares[1::2], 2, {g: -sign for g, sign in pentagonal_signs(limit)})
 
 
 BLOCK_LIMITS = [*range(2 * partitions._BLOCK + 2), REFERENCE_LIMIT]
@@ -248,8 +263,8 @@ class TestCountingTables:
         partitions.shared_partition_table(50)
         distinct_parts_count(50)
 
-        def grow(table, limit, recurrence):
-            raise AssertionError(f"a hit at {limit} reached the growth helper")
+        def grow(*args):
+            raise AssertionError(f"a hit at {args[1]} reached the growth helper")
 
         monkeypatch.setattr(partitions, "_grow", grow)
         assert partition_count(50) == partitions.shared_partition_table(50)[50] == 204226
@@ -257,19 +272,19 @@ class TestCountingTables:
         assert partitions.shared_partition_table(-1)[0] == partition_count(0) == 1
 
     @pytest.mark.parametrize("recurrence, reference", [
-        ("_partition_recurrence", reference_quotient),
-        ("_distinct_recurrence", reference_distinct),
+        (_partition_recurrence, reference_quotient),
+        (_distinct_recurrence, reference_distinct),
     ])
     def test_blocked_growth_matches_per_n_reference(self, recurrence, reference):
         expected = reference()
         for limit in BLOCK_LIMITS:
             table = [1]
-            partitions._grow(table, limit, getattr(partitions, recurrence))
+            partitions._grow(table, limit, *recurrence(limit))
             assert table == expected[:limit + 1], limit
 
     @pytest.mark.parametrize("recurrence, reference", [
-        ("_partition_recurrence", reference_quotient),
-        ("_distinct_recurrence", reference_distinct),
+        (_partition_recurrence, reference_quotient),
+        (_distinct_recurrence, reference_distinct),
     ])
     def test_blocked_growth_from_unaligned_starts(self, recurrence, reference):
         # A table grown to `first`, mostly inside a block, then grown again.
@@ -279,8 +294,8 @@ class TestCountingTables:
             for second in (first, first + 1, first + block - 1, first + block,
                            first + 3 * block + 7, 2100):
                 table = [1]
-                partitions._grow(table, first, getattr(partitions, recurrence))
-                partitions._grow(table, second, getattr(partitions, recurrence))
+                partitions._grow(table, first, *recurrence(first))
+                partitions._grow(table, second, *recurrence(second))
                 assert table == expected[:second + 1], (first, second)
 
     @pytest.mark.parametrize("forcing", [((0, 1),), crank_forcing(0), crank_forcing(12)],
