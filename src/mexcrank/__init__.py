@@ -10,110 +10,52 @@ integer arithmetic; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from .counting import (
-    crank_count,
-    crank_geq_count,
-    crank_zero_expansion,
-    even_mex_count,
-    ewell_even_sum,
-    ewell_odd_sum,
-    is_double_pentagonal,
-    mex_1mod4_count,
-    mex_3mod4_count,
-    mex_count,
-    odd_mex_count,
-    triangular,
-)
-from .partitions import (
-    FrobeniusSymbol,
-    MalformedSymbolError,
-    Partition,
-    PartitionStatistics,
-    UndefinedMexError,
-    conjugate,
-    crank,
-    distinct_parts_count,
-    durfee_size,
-    enumerate_partitions,
-    from_frobenius,
-    mex,
-    mex_above,
-    partition_count,
-    partition_count_table,
-    partition_statistics,
-    partition_statistics_table,
-    to_frobenius,
-)
-from .qseries import (
-    GfKind,
-    InvalidParamsError,
-    NonUnitError,
-    TruncatedSeries,
-    gf,
-    pochhammer_finite,
-)
-from .verify import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    CheckRecord,
-    IdentityCheck,
-    Leg,
-    VerificationReport,
-    checks_by_id,
-    oracle_count,
-    perturbed,
-    registry,
-    run_check,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CheckRecord",
-    "DEFAULT_BUDGET",
-    "FrobeniusSymbol",
-    "GfKind",
-    "IdentityCheck",
-    "InvalidParamsError",
-    "Leg",
-    "MalformedSymbolError",
-    "NonUnitError",
-    "Partition",
-    "PartitionStatistics",
-    "TruncatedSeries",
-    "UndefinedMexError",
-    "VerificationReport",
-    "checks_by_id",
-    "conjugate",
-    "crank",
-    "crank_count",
-    "crank_geq_count",
-    "crank_zero_expansion",
-    "distinct_parts_count",
-    "durfee_size",
-    "enumerate_partitions",
-    "even_mex_count",
-    "ewell_even_sum",
-    "ewell_odd_sum",
-    "from_frobenius",
-    "gf",
-    "is_double_pentagonal",
-    "mex",
-    "mex_1mod4_count",
-    "mex_3mod4_count",
-    "mex_above",
-    "mex_count",
-    "odd_mex_count",
-    "oracle_count",
-    "partition_count",
-    "partition_count_table",
-    "partition_statistics",
-    "partition_statistics_table",
-    "perturbed",
-    "pochhammer_finite",
-    "registry",
-    "run_check",
-    "to_frobenius",
-    "triangular",
-]
+# Each public name and the module that defines it.  A name is imported from
+# its module on first use (PEP 562), so that a run loads only the modules it
+# uses: `mexcrank stat` never loads the series, the closed forms or the
+# harness.
+_EXPORTS = {name: module for module, names in (
+    ("counting", (
+        "crank_count", "crank_geq_count", "crank_zero_expansion", "even_mex_count",
+        "ewell_even_sum", "ewell_odd_sum", "is_double_pentagonal", "mex_1mod4_count",
+        "mex_3mod4_count", "mex_count", "odd_mex_count", "triangular",
+    )),
+    ("partitions", (
+        "FrobeniusSymbol", "MalformedSymbolError", "Partition", "PartitionStatistics",
+        "UndefinedMexError", "conjugate", "crank", "distinct_parts_count", "durfee_size",
+        "enumerate_partitions", "from_frobenius", "mex", "mex_above", "partition_count",
+        "partition_count_table", "partition_statistics", "partition_statistics_table",
+        "to_frobenius",
+    )),
+    ("qseries", (
+        "GfKind", "InvalidParamsError", "NonUnitError", "TruncatedSeries", "gf",
+        "pochhammer_finite",
+    )),
+    ("verify", (
+        "DEFAULT_BUDGET", "BudgetExceededError", "CheckRecord", "IdentityCheck", "Leg",
+        "VerificationReport", "checks_by_id", "oracle_count", "perturbed", "registry",
+        "run_check",
+    )),
+) for name in names}
+_MODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    # Only names not yet in the package namespace reach here.  A submodule,
+    # once imported, is an attribute of the package; a public name is looked
+    # up in its module on every use, so it is whatever that module holds.
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -9,14 +9,17 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
 
-from . import counting, partitions, qseries, verify
+# Each subcommand imports the mexcrank modules it runs, when it runs, and
+# main builds the arguments of that subcommand alone: stat loads only
+# partitions, series only qseries, table counting (and through it
+# partitions), and verify all four.  Functions are read as module
+# attributes at call time, never bound here.
 
 # The largest table --n-max and series --order accepted, so that a huge value
 # is a usage error and not a hang or a MemoryError.  Both costs grow faster
@@ -50,12 +53,18 @@ _ROWS_PER_WRITE = 64
 # --kind spellings that differ from their generating-function tag; every
 # other tag in qseries.GF_KINDS is its own spelling.
 _KIND_SPELLINGS = {"crank_geq_j": "crank_geq", "durfee_rect_b": "durfee_rect"}
-_SERIES_TAGS = {_KIND_SPELLINGS.get(tag, tag): tag for tag in qseries.GF_KINDS}
+
+
+def _series_tags() -> dict[str, str]:
+    # Each --kind spelling and its tag, in the order of qseries.GF_KINDS.
+    from . import qseries
+    return {_KIND_SPELLINGS.get(tag, tag): tag for tag in qseries.GF_KINDS}
 
 
 def _kinds_taking(param: str) -> str:
-    return " / ".join(kind for kind, tag in _SERIES_TAGS.items()
-                      if qseries.GF_KINDS[tag][0] == param)
+    from . import qseries
+    return " / ".join(_KIND_SPELLINGS.get(tag, tag)
+                      for tag, (name, _, _) in qseries.GF_KINDS.items() if name == param)
 
 
 def _fail(message: str) -> int:
@@ -67,6 +76,8 @@ def _canonical(payload: object) -> str:
     # The JSON encoding of every stdout byte: compact, with sorted keys.  stat
     # writes through it; rows and verify records are written by the renderer
     # below, which gives the same bytes without building a dict per row.
+    # table and series CSV never come here, and so never load json.
+    import json
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -156,14 +167,8 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="omit the CSV header row")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mexcrank",
-        description="Exact partition statistics, q-series expansions, and identity verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="tabulate a counting function over n = 0..n_max")
+def _table_arguments(table: argparse.ArgumentParser) -> None:
+    from . import counting
     # q keeps the Gauss recurrence, faster than a stream row; it follows p.
     table.add_argument("--fn", required=True,
                        choices=list(dict.fromkeys(("p", "q", *counting.STREAMS))),
@@ -174,42 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"largest n, at most {TABLE_N_MAX} (default: 100)")
     _add_output_flags(table)
 
-    series = sub.add_parser("series", help="expand a named generating function")
-    series.add_argument("--kind", required=True, choices=sorted(_SERIES_TAGS),
-                        help="which generating function")
-    series.add_argument("--m", type=int, default=0,
-                        help=f"crank parameter for {_kinds_taking('m')}")
-    series.add_argument("--j", type=int, default=0,
-                        help=f"parameter for {_kinds_taking('j')}")
-    series.add_argument("--b", type=int, default=0,
-                        help=f"rectangle offset for {_kinds_taking('b')}")
-    series.add_argument("--order", type=int, default=200,
-                        help=f"truncation order, at most {SERIES_ORDER_MAX} (default: 200)")
-    _add_output_flags(series)
-
-    stat = sub.add_parser("stat", help="statistics of one partition given by its parts")
-    stat.add_argument("parts", nargs="*", type=int,
-                      help="parts of the partition, any order; empty for the empty partition")
-
-    vrf = sub.add_parser("verify", help="run identity checks from the registry")
-    selection = vrf.add_mutually_exclusive_group()
-    selection.add_argument("--all", dest="run_all", action="store_true",
-                           help="run every registered check (default when no --check is given)")
-    selection.add_argument("--check", dest="checks", action="append", metavar="ID",
-                           help="check id to run; may be repeated")
-    vrf.add_argument("--n-max", dest="n_max", type=int, default=None,
-                     help=f"override each check's main scan range, at most {VERIFY_N_MAX}")
-    vrf.add_argument("--order", type=int, default=None,
-                     help=f"override the series truncation order, at most {VERIFY_ORDER_MAX}")
-    vrf.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET,
-                     help=f"enumeration cap, at most {VERIFY_BUDGET_MAX} "
-                          f"(default: {verify.DEFAULT_BUDGET})")
-    _add_output_flags(vrf)
-
-    return parser
-
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import counting, partitions
     if not 0 <= args.n_max <= TABLE_N_MAX:
         return _fail(f"--n-max must be in 0..{TABLE_N_MAX}, got {args.n_max}")
     if args.fn == "q":
@@ -224,10 +196,25 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _series_arguments(series: argparse.ArgumentParser) -> None:
+    series.add_argument("--kind", required=True, choices=sorted(_series_tags()),
+                        help="which generating function")
+    series.add_argument("--m", type=int, default=0,
+                        help=f"crank parameter for {_kinds_taking('m')}")
+    series.add_argument("--j", type=int, default=0,
+                        help=f"parameter for {_kinds_taking('j')}")
+    series.add_argument("--b", type=int, default=0,
+                        help=f"rectangle offset for {_kinds_taking('b')}")
+    series.add_argument("--order", type=int, default=200,
+                        help=f"truncation order, at most {SERIES_ORDER_MAX} (default: 200)")
+    _add_output_flags(series)
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import qseries
     if not 0 <= args.order <= SERIES_ORDER_MAX:
         return _fail(f"--order must be in 0..{SERIES_ORDER_MAX}, got {args.order}")
-    tag = _SERIES_TAGS[args.kind]
+    tag = _series_tags()[args.kind]
     param = qseries.GF_KINDS[tag][0]
     try:
         kind = qseries.GfKind(tag, None if param is None else getattr(args, param))
@@ -237,7 +224,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stat_arguments(stat: argparse.ArgumentParser) -> None:
+    stat.add_argument("parts", nargs="*", type=int,
+                      help="parts of the partition, any order; empty for the empty partition")
+
+
 def _cmd_stat(args: argparse.Namespace) -> int:
+    from . import partitions
     if any(part < 1 for part in args.parts):
         return _fail("parts must be positive integers")
     lam = partitions.Partition.of(*args.parts)
@@ -259,7 +252,25 @@ def _cmd_stat(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_arguments(vrf: argparse.ArgumentParser) -> None:
+    from . import verify
+    selection = vrf.add_mutually_exclusive_group()
+    selection.add_argument("--all", dest="run_all", action="store_true",
+                           help="run every registered check (default when no --check is given)")
+    selection.add_argument("--check", dest="checks", action="append", metavar="ID",
+                           help="check id to run; may be repeated")
+    vrf.add_argument("--n-max", dest="n_max", type=int, default=None,
+                     help=f"override each check's main scan range, at most {VERIFY_N_MAX}")
+    vrf.add_argument("--order", type=int, default=None,
+                     help=f"override the series truncation order, at most {VERIFY_ORDER_MAX}")
+    vrf.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET,
+                     help=f"enumeration cap, at most {VERIFY_BUDGET_MAX} "
+                          f"(default: {verify.DEFAULT_BUDGET})")
+    _add_output_flags(vrf)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
     for flag, value, ceiling in (("--n-max", args.n_max, VERIFY_N_MAX),
                                  ("--order", args.order, VERIFY_ORDER_MAX),
                                  ("--budget", args.budget, VERIFY_BUDGET_MAX)):
@@ -311,15 +322,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+# Each subcommand: its help line, what adds its arguments and what runs it.
+_COMMANDS = {
+    "table": ("tabulate a counting function over n = 0..n_max", _table_arguments, _cmd_table),
+    "series": ("expand a named generating function", _series_arguments, _cmd_series),
+    "stat": ("statistics of one partition given by its parts", _stat_arguments, _cmd_stat),
+    "verify": ("run identity checks from the registry", _verify_arguments, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given one, a parser in which only
+    that subcommand has its arguments: the others keep their names and help
+    lines, so the top-level usage and errors read the same."""
+    parser = argparse.ArgumentParser(
+        prog="mexcrank",
+        description="Exact partition statistics, q-series expansions, and identity verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subparser)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "table": _cmd_table,
-        "series": _cmd_series,
-        "stat": _cmd_stat,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # There are no global options, so a subcommand, if any, is the first
+    # argument; anything else gets the full parser and its usage error.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ that EWELL_EVEN checks them against.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, chain, count, cycle, islice
 from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .partitions import _BLOCK, _slice_sums, euler_quotient, shared_partition_table
 

@@ -12,12 +12,11 @@ cross-checks in :mod:`mexcrank.verify` meaningful.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import takewhile
 from math import isqrt
 from operator import sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class UndefinedMexError(ValueError):
@@ -28,8 +27,57 @@ class MalformedSymbolError(ValueError):
     """Raised when two rows do not form a valid Frobenius symbol."""
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class _Frozen:
+    """Base of the immutable classes here and in :mod:`mexcrank.verify`.
+
+    The fields are the ``__slots__``, filled once by :meth:`_init`;
+    assigning or deleting one raises AttributeError.  The repr names every
+    field, copies and pickles carry the fields over, and equality is
+    identity unless the class is a :class:`_Value`.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+
+class _Value(_Frozen):
+    """A :class:`_Frozen` equal to an instance of its own class with equal
+    fields, and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Partition(_Value):
     """A partition: positive parts in nonincreasing order.
 
     ``Partition((3, 1))`` is the partition 3+1 of weight 4; ``Partition()``
@@ -37,12 +85,12 @@ class Partition:
     positivity; use :meth:`of` to build from parts in any order.
     """
 
-    parts: tuple[int, ...] = ()
-    weight: int = field(init=False)
+    __slots__ = ("parts", "weight")
+    parts: tuple[int, ...]
+    weight: int
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
         prev = None
         for p in parts:
             if p < 1:
@@ -50,7 +98,7 @@ class Partition:
             if prev is not None and p > prev:
                 raise ValueError(f"parts must be nonincreasing, got {parts}")
             prev = p
-        object.__setattr__(self, "weight", sum(parts))
+        self._init(parts, sum(parts))
 
     @classmethod
     def of(cls, *parts: int) -> Partition:
@@ -61,8 +109,7 @@ class Partition:
         return f"Partition({self.parts!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class FrobeniusSymbol:
+class FrobeniusSymbol(_Value):
     """Two-row partition notation: equal-length, strictly decreasing rows.
 
     Entries are nonnegative; a symbol with rows of length d represents a
@@ -70,14 +117,13 @@ class FrobeniusSymbol:
     the empty partition.
     """
 
-    top: tuple[int, ...] = ()
-    bottom: tuple[int, ...] = ()
+    __slots__ = ("top", "bottom")
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        top = tuple(self.top)
-        bottom = tuple(self.bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+    def __init__(self, top: Iterable[int] = (), bottom: Iterable[int] = ()) -> None:
+        top = tuple(top)
+        bottom = tuple(bottom)
         if len(top) != len(bottom):
             raise MalformedSymbolError(
                 f"rows must have equal length, got {len(top)} and {len(bottom)}"
@@ -88,6 +134,7 @@ class FrobeniusSymbol:
                     raise MalformedSymbolError(f"rows must strictly decrease, got {row}")
             if row and row[-1] < 0:
                 raise MalformedSymbolError(f"entries must be nonnegative, got {row}")
+        self._init(top, bottom)
 
     @property
     def size(self) -> int:
@@ -149,8 +196,7 @@ def _without_ones(limit: int) -> Iterator[tuple[list[int], int]]:
             return
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionStatistics:
+class PartitionStatistics(_Value):
     """Counts over all partitions of one n, as
     :func:`partition_statistics_table` gathers them.  Each mapping holds
     only its nonzero entries and is read-only.
@@ -163,12 +209,18 @@ class PartitionStatistics:
     few histograms of at most 2n + 1 small integers.
     """
 
+    __slots__ = ("count", "crank", "mex", "odd_gap_above", "top_entry", "zero_free")
     count: int
     crank: Mapping[int, int]
     mex: Mapping[int, int]
     odd_gap_above: Mapping[int, int]
     top_entry: Mapping[int, int]
     zero_free: int
+
+    def __init__(self, count: int, crank: Mapping[int, int], mex: Mapping[int, int],
+                 odd_gap_above: Mapping[int, int], top_entry: Mapping[int, int],
+                 zero_free: int) -> None:
+        self._init(count, crank, mex, odd_gap_above, top_entry, zero_free)
 
 
 def partition_statistics(n: int) -> PartitionStatistics:

@@ -28,10 +28,9 @@ so the truncation is finite and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, count, takewhile
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
 
 
 class NonUnitError(ValueError):
@@ -193,27 +192,52 @@ def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
 
 # --- named generating functions -------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class GfKind:
     """A named generating function plus its integer parameter, if any, as
     ``GfKind(tag, param)``; :data:`GF_KINDS` lists the tags and what each
     parameter must be.
+
+    Immutable: equal to a ``GfKind`` with the same tag and parameter, and
+    hashed by them, so that it can key a memo.
     """
 
+    __slots__ = ("tag", "param")
     tag: str
-    param: int | None = None
+    param: int | None
 
-    def __post_init__(self) -> None:
-        if self.tag not in GF_KINDS:
-            raise InvalidParamsError(f"unknown generating-function tag {self.tag!r}")
-        name, least, _ = GF_KINDS[self.tag]
+    def __init__(self, tag: str, param: int | None = None) -> None:
+        if tag not in GF_KINDS:
+            raise InvalidParamsError(f"unknown generating-function tag {tag!r}")
+        name, least, _ = GF_KINDS[tag]
         if name is None:
-            if self.param is not None:
-                raise InvalidParamsError(f"{self.tag} takes no parameter")
-        elif self.param is None:
-            raise InvalidParamsError(f"{self.tag} requires parameter {name}")
-        elif least is not None and self.param < least:
-            raise InvalidParamsError(f"{self.tag} requires {name} >= {least}, got {self.param}")
+            if param is not None:
+                raise InvalidParamsError(f"{tag} takes no parameter")
+        elif param is None:
+            raise InvalidParamsError(f"{tag} requires parameter {name}")
+        elif least is not None and param < least:
+            raise InvalidParamsError(f"{tag} requires {name} >= {least}, got {param}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "param", param)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tag == other.tag and self.param == other.param
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.param))
+
+    def __repr__(self) -> str:
+        return f"GfKind(tag={self.tag!r}, param={self.param!r})"
+
+    def __reduce__(self) -> tuple:
+        return GfKind, (self.tag, self.param)
 
 
 def gf(kind: GfKind, order: int) -> TruncatedSeries:

@@ -20,10 +20,10 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.39-0.43 s (quartiles
-of 11 runs) and 21 MB max-RSS at the default budget 35 (18 MB as CSV), and
-0.75-0.89 s and 18 MB at ``--n-max 45 --budget 45`` (2 CPUs, Python
-3.11.7).
+Cold ``mexcrank verify --all --format json`` takes 0.177-0.183 s
+(quartiles of 11 runs) and 20 MB max-RSS at the default budget 35 (17 MB
+as CSV), and 0.36-0.40 s and 17 MB at ``--n-max 45 --budget 45`` (2 CPUs,
+Python 3.11.7, no bytecode cache).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.
@@ -34,13 +34,14 @@ n = 1 values on both sides, so the discrepancy is asserted, never skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
     PartitionStatistics,
+    _Frozen,
     distinct_parts_count,
     enumerate_partitions,
     partition_statistics_table,
@@ -153,20 +154,24 @@ class Leg(NamedTuple):
         return ({"side": self.side, **point} for point in self.points())
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityCheck:
+class IdentityCheck(_Frozen):
     """A named claim: two independent computations that must agree exactly.
 
     ``legs`` are evaluated in order; each fixes its grid points and the two
     callables compared on them.  The two callables of a leg must come from
     disjoint code paths (enumeration vs formula, or two different series
     constructions); the registry below upholds that split.  ``grid`` is the
-    points of every leg, in evaluation order.
+    points of every leg, in evaluation order.  Immutable; equal only to
+    itself.
     """
 
+    __slots__ = ("check_id", "statement", "legs")
     check_id: str
     statement: str
     legs: tuple[Leg, ...]
+
+    def __init__(self, check_id: str, statement: str, legs: tuple[Leg, ...]) -> None:
+        self._init(check_id, statement, legs)
 
     @property
     def grid(self) -> tuple[Params, ...]:
@@ -194,13 +199,18 @@ class CheckRecord(NamedTuple):
         }
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """Deterministic per-point results for one check, in grid order."""
+class VerificationReport(_Frozen):
+    """Deterministic per-point results for one check, in grid order.
+    Immutable; equal only to itself."""
 
+    __slots__ = ("check_id", "statement", "records")
     check_id: str
     statement: str
     records: tuple[CheckRecord, ...]
+
+    def __init__(self, check_id: str, statement: str,
+                 records: tuple[CheckRecord, ...]) -> None:
+        self._init(check_id, statement, records)
 
     @property
     def passed(self) -> bool:

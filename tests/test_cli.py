@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -567,6 +568,61 @@ class TestRenderer:
         code, out, _ = run_cli(argv, capsys)
         assert (code, out) == (0, expected[1])
         assert expected[0] == 0
+
+
+class TestHelpAndUsageErrors:
+    # main builds the arguments of the named subcommand alone; what a user
+    # reads on --help or a usage error must not show it.
+    ARGVS = (
+        ("--help",), ("table", "--help"), ("series", "--help"), ("stat", "--help"),
+        ("verify", "--help"), ("tabel",), ("table", "--fn", "nope"), ("stat", "--foo"),
+        (), ("series", "--kind", "nope"), ("verify", "--all", "--check", "X"),
+    )
+
+    # sha256 over code, stdout and stderr of the first seven ARGVS, in order,
+    # at 80 columns, as the parser that built every subcommand printed them
+    # before main built one; per interpreter, since argparse's wording moves
+    # between releases (3.13 wraps the series help differently).
+    PINNED = {
+        "3.10.13": "f7e96255d8cdd45e0724955715982bd3a12161ebe7553754ada79c4d5ae839f0",
+        "3.11.7": "f7e96255d8cdd45e0724955715982bd3a12161ebe7553754ada79c4d5ae839f0",
+        "3.12.1": "f7e96255d8cdd45e0724955715982bd3a12161ebe7553754ada79c4d5ae839f0",
+        "3.13.0": "83ee498b0ad9529628f7a03e691cafc3cf8a78730cc49af529f454b509afd712",
+    }
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(list(argv))
+        out, err = capsys.readouterr()
+        return exit_info.value.code, out, err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self.outcome(cli.build_parser().parse_args, argv, capsys)
+        assert self.outcome(cli.main, argv, capsys) == full
+        assert full[0] == (0 if "--help" in argv else 2)
+
+    def test_pinned_bytes(self, capsys, monkeypatch):
+        expected = self.PINNED.get(platform.python_version())
+        if expected is None:
+            pytest.skip(f"no digest recorded for Python {platform.python_version()}")
+        monkeypatch.setenv("COLUMNS", "80")
+        digest = hashlib.sha256()
+        for argv in self.ARGVS[:7]:
+            code, out, err = self.outcome(cli.main, argv, capsys)
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("command", ["table", "series", "stat", "verify"])
+    def test_one_subcommand_parser_helps_alike(self, command):
+        def helps(parser):
+            commands = next(action for action in parser._actions
+                            if isinstance(action, argparse._SubParsersAction))
+            return parser.format_help(), commands.choices[command].format_help()
+
+        assert helps(cli.build_parser(command)) == helps(cli.build_parser())
 
 
 class TestCeilings:

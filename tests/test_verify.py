@@ -236,10 +236,12 @@ class TestModuleBoundaries:
             module.__getattr__ = refuse
             return module
 
+        # The package attribute is patched first: reading it imports the real
+        # module, which the undo then puts back in both places.
         for name in ("counting", "qseries"):
             module = poison_module(f"mexcrank.{name}")
-            monkeypatch.setitem(sys.modules, f"mexcrank.{name}", module)
             monkeypatch.setattr(mexcrank, name, module)
+            monkeypatch.setitem(sys.modules, f"mexcrank.{name}", module)
 
         assert oracle_count(4, lambda lam: mex(lam) % 2 == 1) == 3
         assert crank_geq_oracle(4, 1) == 2
