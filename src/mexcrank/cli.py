@@ -2,8 +2,8 @@
 
 Machine-readable output (CSV or JSON) goes to stdout only; progress notes and
 error messages go to stderr.  Exit codes: 0 for success, 1 when a
-verification check fails, 2 for usage errors.  Identical invocations produce
-byte-identical stdout.
+verification check fails, 2 for usage errors, 141 when the reader of stdout
+closes it early.  Identical invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import islice
 
@@ -22,32 +22,27 @@ from itertools import islice
 # attributes at call time, never bound here.
 
 # The largest table --n-max and series --order accepted, so that a huge value
-# is a usage error and not a hang or a MemoryError.  Both costs grow faster
-# than n^1.5; cold, on 2 CPUs with Python 3.11.7, every row costs about one
-# p table, 3-4 s and 30 MB at n_max = 100000 as CSV or JSON, and the
-# costliest series (crank0_alt) about 0.9 s at order 5000, 3 s at 10000 and
-# 11.5 s and 23 MB at 20000.
-# The library itself takes any size.
+# is a usage error and not a hang or a MemoryError; the library takes any
+# size.  Cold, on 2 CPUs with Python 3.11.7, where `python -c pass` takes
+# 31 ms, a row costs about one p table, 0.17 s at n_max = 20000 and 2 s and
+# 30 MB at 100000, and crank0_alt, the costliest series, 0.37 s at order
+# 5000, 1.4 s at 10000 and 5 s and 21 MB at 20000.
 TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
-# The same for verify.  --n-max and --order size the same series and closed
-# forms as table and series do.  Cold, at 20000, the costliest check alone
-# takes about 13 s and 305 MB as JSON (CRANK_GF_CONSISTENCY under --n-max,
-# COR_CRANKRECUR under --order; 13 s and 139 MB as CSV), and all 14 checks
-# as JSON 40 s and 581 MB at --n-max 20000 and 38 s and 452 MB at --order
-# 20000, of which the closed-form rows hold 43 and 33 MiB.  --budget is how
-# far the enumeration reaches, and its cost grows with p(n): --check
-# PROP_MEXFORM --n-max 50 --budget 50 takes about 1.8 s and 18 MB, and the
-# statistics sweep alone takes 3-4 s at 55; p(80) alone is 15.8M partitions.
+# The same for verify, whose --n-max and --order size the same rows and
+# series.  Cold, at 20000, the costliest check alone (CRANK_GF_CONSISTENCY,
+# COR_CRANKRECUR) takes about 8 s and 138 MB, and all 14 checks 20 s and
+# 207 MB under --n-max and 24 s and 180 MB under --order, in either format,
+# the closed-form rows holding 43 and 33 MiB.  --budget's cost grows with
+# p(n): PROP_MEXFORM at 50 takes 1.1 s and 17 MB; p(80) is 15.8M partitions.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
 
-# table, series and verify CSV rows per stdout write.  Larger chunks save no
-# time and raise peak memory: at n_max = 20000, 256-row chunks add about
-# 0.2 MB of max-RSS to the 17.6 MB the table run takes, and one write of all
-# 20001 rows 7 MB; 64-row chunks add under 0.1 MB.
+# Rows and records per write.  Larger chunks save no time and raise peak
+# memory: at n_max = 20000, 256-row chunks add about 0.2 MB of max-RSS to a
+# table run, one write of all 20001 rows 7 MB, and 64-row chunks under 0.1 MB.
 _ROWS_PER_WRITE = 64
 
 # --kind spellings that differ from their generating-function tag; every
@@ -73,17 +68,15 @@ def _fail(message: str) -> int:
 
 
 def _canonical(payload: object) -> str:
-    # The JSON encoding of every stdout byte: compact, with sorted keys.  stat
-    # writes through it; rows and verify records are written by the renderer
-    # below, which gives the same bytes without building a dict per row.
-    # table and series CSV never come here, and so never load json.
+    # The JSON encoding of every stdout byte, compact with sorted keys; the
+    # renderer below gives its bytes with no dict per row.  CSV never loads json.
     import json
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# The renderer: a str is encoded once, an int is str(), and every other value
-# falls back to _canonical (format(True) is "True", not "true").  Its caches
-# hold the registry's few dozen check ids, statements, sides and key tuples.
+# The renderer: a str is encoded once, an int is str(), any other value goes
+# through _canonical (format(True) is "True").  Its caches hold the registry's
+# few dozen check ids, statements, sides and key tuples.
 _string_text = lru_cache(maxsize=None)(_canonical)
 
 
@@ -106,58 +99,54 @@ def _params_text(params: verify.Params) -> str:
     return _template(tuple(params)).format(*map(_value_text, params.values()))
 
 
-def _report_text(report: verify.VerificationReport) -> str:
-    # _canonical(report.to_jsonable()), written from the records themselves.
-    # The report's head and tail ride on its first and last record texts, so
-    # that the one join is the one copy of the whole text.
+def _record_texts(check_id: str, records: Iterable[verify.CheckRecord]) -> Iterator[str]:
+    # Each record's _canonical(to_jsonable(...)); check_id comes as JSON text.
+    for params, lhs, rhs in records:
+        yield (f'{{"check_id":{check_id},"lhs":"{lhs!s}","params":{_params_text(params)},'
+               f'"pass":{"true" if lhs == rhs else "false"},"rhs":"{rhs!s}"}}')
+
+
+def _write_report(write: Callable[[str], object], report: verify.VerificationReport,
+                  lead: str = "") -> None:
+    # lead, then _canonical(report.to_jsonable()), _ROWS_PER_WRITE records a write.
     check_id = _string_text(report.check_id)
-    head = f'{{"check_id":{check_id},"lhs":"'
-    texts = [f'{head}{lhs!s}","params":{_params_text(params)},"pass":'
-             f'{"true" if lhs == rhs else "false"},"rhs":"{rhs!s}"}}'
-             for params, lhs, rhs in report.records] or [""]
-    failed = [text for text, (_, lhs, rhs) in zip(texts, report.records) if lhs != rhs]
-    texts[0] = (f'{{"check_id":{check_id},"failed":{len(failed)},"first_counterexample":'
-                f'{failed[0] if failed else "null"},"pass":{"false" if failed else "true"},'
-                f'"records":[{texts[0]}')
-    texts[-1] += f'],"statement":{_string_text(report.statement)},"total":{len(report.records)}}}'
-    return ",".join(texts)
+    failed = [record for record in report.records if record.lhs != record.rhs]
+    write(f'{lead}{{"check_id":{check_id},"failed":{len(failed)},"first_counterexample":'
+          f'{next(_record_texts(check_id, failed), "null")},'
+          f'"pass":{"false" if failed else "true"},"records":[')
+    _write_chunks(write, _record_texts(check_id, report.records), ",")
+    write(f'],"statement":{_string_text(report.statement)},"total":{len(report.records)}}}')
 
 
-def _csv_line(check_id: str, record: verify.CheckRecord) -> str:
-    # The bytes csv.writer gives for the record: its params text always holds
-    # a '"', so it is quoted with each '"' doubled, and no check id, integer
-    # or true/false needs quoting.
-    params = _params_text(record.params).replace('"', '""')
-    passed = "true" if record.passed else "false"
-    return f'{check_id},"{params}",{record.lhs},{record.rhs},{passed}\n'
+def _csv_lines(report: verify.VerificationReport) -> Iterator[str]:
+    # The bytes csv.writer gives: the params text always holds a '"', so it is
+    # quoted with each '"' doubled; no check id, integer or bool needs quoting.
+    for params, lhs, rhs in report.records:
+        params = _params_text(params).replace('"', '""')
+        yield f'{report.check_id},"{params}",{lhs},{rhs},{"true" if lhs == rhs else "false"}\n'
 
 
-def _chunks(rows: Iterable) -> Iterator[list]:
-    # rows in lists of _ROWS_PER_WRITE, the last one shorter.
-    rows = iter(rows)
-    return iter(lambda: list(islice(rows, _ROWS_PER_WRITE)), [])
+def _write_chunks(write: Callable[[str], object], texts: Iterator[str], sep: str) -> None:
+    # texts joined by sep, in one write per _ROWS_PER_WRITE of them.
+    for index, chunk in enumerate(iter(lambda: list(islice(texts, _ROWS_PER_WRITE)), [])):
+        write((sep if index else "") + sep.join(chunk))
 
 
 def _emit_rows(rows: Iterable[tuple[int, int]], columns: tuple[str, str],
                args: argparse.Namespace) -> None:
-    # rows are (n, value) pairs of integers, so no CSV field needs quoting.
-    # They leave _ROWS_PER_WRITE at a time, one write per chunk, whether or
-    # not stdout is buffered.  A JSON row is the object {n, "value"} through
-    # the template of its keys, so the whole text is _canonical of every row.
-    chunks = _chunks(rows)
+    # rows are (n, value) integer pairs, so no CSV field needs quoting, and
+    # leave in chunks whether or not stdout is buffered.  A JSON row is the
+    # object {n, "value"} through its keys' template: _canonical of every row.
     write = sys.stdout.write
     if args.format == "json":
         template = _template(columns)
         write("[")
-        for index, chunk in enumerate(chunks):
-            text = ",".join([template.format(n, f'"{value}"') for n, value in chunk])
-            write(("," if index else "") + text)
+        _write_chunks(write, (template.format(n, f'"{value}"') for n, value in rows), ",")
         write("]\n")
         return
     if not args.no_header:
         write(",".join(columns) + "\n")
-    for chunk in chunks:
-        write("".join([f"{n},{value}\n" for n, value in chunk]))
+    _write_chunks(write, (f"{n},{value}\n" for n, value in rows), "")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -293,32 +282,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    # Each report leaves as soon as it is made: CSV writes its rows, JSON
-    # keeps only its text, because the top-level "pass" sorts before "reports".
-    # The CSV rows leave in one write per _ROWS_PER_WRITE rows, whether or not
-    # stdout is buffered.
-    if args.format == "csv" and not args.no_header:
-        sys.stdout.write("check_id,params,lhs,rhs,pass\n")
-    all_passed, texts = True, []
-    for check in selected:
-        start = time.perf_counter()
-        report = verify.run_check(check)
-        elapsed_ms = round((time.perf_counter() - start) * 1000)
-        all_passed &= report.passed
-        status = "pass" if report.passed else "FAIL"
-        print(f"{check.check_id}: {status} ({len(report.records)} records, {elapsed_ms} ms)",
-              file=sys.stderr)
-        if args.format == "json":
-            texts.append(_report_text(report))
-        else:
-            for chunk in _chunks(report.records):
-                sys.stdout.write("".join([_csv_line(report.check_id, record) for record in chunk]))
-        del report  # before the next check builds its own
+    # Each report leaves as soon as it is made, CSV to stdout and JSON to a
+    # spool that is copied out after the last check, as the top-level "pass"
+    # sorts before "reports": no more than one chunk of record texts is held.
     if args.format == "json":
-        sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')
-        for index, text in enumerate(texts):
-            sys.stdout.writelines(("," if index else "", text))
-        sys.stdout.write("]}\n")
+        import shutil, tempfile
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+    else:
+        from contextlib import nullcontext
+        spool = nullcontext(sys.stdout)
+        if not args.no_header:
+            sys.stdout.write("check_id,params,lhs,rhs,pass\n")
+    all_passed = True
+    with spool as out:
+        for index, check in enumerate(selected):
+            start = time.perf_counter()
+            report = verify.run_check(check)
+            elapsed_ms = round((time.perf_counter() - start) * 1000)
+            all_passed &= report.passed
+            print(f"{check.check_id}: {'pass' if report.passed else 'FAIL'} "
+                  f"({len(report.records)} records, {elapsed_ms} ms)", file=sys.stderr)
+            if args.format == "json":
+                _write_report(out.write, report, "," if index else "")
+            else:
+                _write_chunks(out.write, _csv_lines(report), "")
+            del report  # before the next check builds its own
+        if args.format == "json":
+            sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')
+            out.seek(0)
+            shutil.copyfileobj(out, sys.stdout)
+            sys.stdout.write("]}\n")
     return 0 if all_passed else 1
 
 
@@ -332,9 +325,8 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given one, a parser in which only
-    that subcommand has its arguments: the others keep their names and help
-    lines, so the top-level usage and errors read the same."""
+    """The parser of every subcommand, or of the arguments of `command` alone,
+    with every name and help line kept, so that usage and errors read alike."""
     parser = argparse.ArgumentParser(
         prog="mexcrank",
         description="Exact partition statistics, q-series expansions, and identity verification.",
@@ -354,7 +346,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     _, _, run = _COMMANDS[args.command]
-    return run(args)
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (say, head): exit as SIGPIPE would, flushing to devnull.
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

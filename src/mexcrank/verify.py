@@ -20,10 +20,10 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.177-0.183 s
-(quartiles of 11 runs) and 20 MB max-RSS at the default budget 35 (17 MB
-as CSV), and 0.36-0.40 s and 17 MB at ``--n-max 45 --budget 45`` (2 CPUs,
-Python 3.11.7, no bytecode cache).
+Cold ``mexcrank verify --all --format json`` takes 0.177-0.188 s
+(quartiles of 11 runs) and 17.6 MB max-RSS at the default budget 35, as CSV
+does, and 0.36-0.39 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
+Python 3.11.7, no bytecode cache; ``python -c pass`` takes 31 ms).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.

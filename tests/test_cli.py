@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -243,8 +244,11 @@ class TestRowChunks:
 
     def test_json_peak_memory_near_csv(self, monkeypatch):
         # A dict for every row plus the whole document at once would take
-        # about 8 times the CSV peak at n_max = 20000.
+        # about a hundred times the CSV peak at n_max = 20000.  The row is built
+        # once, before tracing, so that only the emitter is traced.
         monkeypatch.setattr(sys, "stdout", _CountingStdout())
+        row = counting.table_row("p", None, 20000)
+        monkeypatch.setattr(counting, "table_row", lambda fn, param, n_max: row)
         argv = ["table", "--fn", "p", "--n-max", "20000", "--format"]
         cli.main([*argv, "csv"])  # one-off allocations fall outside the measured runs
         peaks = {}
@@ -522,11 +526,16 @@ class TestVerify:
 
 
 class TestRenderer:
-    # verify writes each record from cached templates, not through a dict;
-    # _canonical of the library's dict form is the oracle of every byte.
+    # verify writes each report from cached templates, not through a dict,
+    # _ROWS_PER_WRITE records a write; _canonical of the library's dict form
+    # is the oracle of every byte.
     @staticmethod
     def assert_renders(report):
-        assert cli._report_text(report) == cli._canonical(report.to_jsonable())
+        writes = []
+        cli._write_report(writes.append, report)
+        assert "".join(writes) == cli._canonical(report.to_jsonable())
+        # the head, each chunk of records and the tail
+        assert len(writes) == 2 + math.ceil(len(report.records) / cli._ROWS_PER_WRITE)
         for record in report.records:
             assert cli._params_text(record.params) == cli._canonical(dict(record.params))
 
@@ -553,7 +562,58 @@ class TestRenderer:
         report = verify.run_check(check)
         assert not report.passed
         self.assert_renders(report)
+
+    def test_empty_report(self):
         self.assert_renders(verify.VerificationReport("EMPTY", "no records", ()))
+
+    @staticmethod
+    def late_failure():
+        # EWELL_ODD over 301 records, failing first at k = 100, past the
+        # first chunk of records, and again at k = 250.
+        base = verify.checks_by_id(300, budget=12)["EWELL_ODD"]
+        return verify.perturbed(verify.perturbed(base, {"k": 100}, 1), {"k": 250}, 1)
+
+    def test_first_failure_after_the_first_chunk(self):
+        report = verify.run_check(self.late_failure())
+        payload = report.to_jsonable()
+        assert payload["total"] > 2 * cli._ROWS_PER_WRITE
+        assert payload["failed"] == 2
+        assert payload["first_counterexample"]["params"] == {"k": 100}
+        self.assert_renders(report)
+
+    def test_failing_main_json_is_canonical(self, capsys, monkeypatch):
+        # Several reports through the spool, one of them failing: the document
+        # is its own canonical re-dump, with "pass" false.
+        checks = verify.checks_by_id(300, budget=12)
+        selected = {"INEQ_OE": checks["INEQ_OE"], "LATE": self.late_failure(),
+                    "EWELL_EVEN": checks["EWELL_EVEN"]}
+        monkeypatch.setattr(verify, "checks_by_id", lambda *args, **kwargs: selected)
+        code, out, _ = run_cli(["verify", "--check", "INEQ_OE", "--check", "LATE",
+                                "--check", "EWELL_EVEN", "--format", "json"], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert [report["pass"] for report in payload["reports"]] == [True, False, True]
+        assert out == cli._canonical(payload) + "\n"
+
+    def test_verify_json_peak_memory_near_csv(self, monkeypatch):
+        # JSON holds one chunk of record texts at a time, as CSV does; holding
+        # every report's text until the last check takes twice CSV's peak.
+        monkeypatch.setattr(sys, "stdout", _CountingStdout())
+        monkeypatch.setattr(sys, "stderr", _CountingStdout())
+        argv = ["verify", "--all", "--n-max", "100", "--budget", "12", "--format"]
+        for fmt in ("csv", "json"):  # caches fill outside the measured runs
+            cli.main([*argv, fmt])
+        peaks = {}
+        for fmt in ("csv", "json"):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert cli.main([*argv, fmt]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] <= 1.1 * peaks["csv"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_no_dict_on_the_cli_path(self, fmt, capsys, monkeypatch):
@@ -568,6 +628,38 @@ class TestRenderer:
         code, out, _ = run_cli(argv, capsys)
         assert (code, out) == (0, expected[1])
         assert expected[0] == 0
+
+
+class TestClosedPipe:
+    # A reader that stops early, as head does, ends the run quietly with exit
+    # code 141.  Each output is larger than a pipe's buffer.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", ["table --fn p --n-max 5000",
+                                      "series --kind euler_inv --order 5000", "verify"])
+    def test_no_traceback(self, args, fmt):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen([sys.executable, "-m", "mexcrank", *args.split(), "--format", fmt],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline(100)  # JSON is one line: at most 100 bytes of it
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+        assert proc.returncode == 141
+
+    @pytest.mark.parametrize("args", ["table --fn p --n-max 20", "series --kind distinct",
+                                      "stat 3 1", "verify --check EWELL_ODD --n-max 3"])
+    def test_reader_gone_before_the_first_write(self, args):
+        # With stdout buffered, a small output meets the closed pipe only when
+        # it is flushed: main flushes it, and the interpreter's own last flush
+        # must find nothing left to write.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen([sys.executable, "-m", "mexcrank", *args.split()],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+        assert proc.returncode == 141
 
 
 class TestHelpAndUsageErrors:
