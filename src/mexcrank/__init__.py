@@ -59,3 +59,55 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_MODULES})
+
+
+class _Frozen:
+    """Base of the immutable classes of :mod:`mexcrank.partitions`,
+    :mod:`mexcrank.qseries` and :mod:`mexcrank.verify`; it lives here, which
+    every submodule loads, so that ``qseries`` need not load ``partitions``.
+
+    The fields are the ``__slots__``, filled once by :meth:`_init`;
+    assigning or deleting one raises AttributeError.  The repr names every
+    field, copies and pickles carry the fields over, and equality is
+    identity unless the class is a :class:`_Value`.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+
+class _Value(_Frozen):
+    """A :class:`_Frozen` equal to an instance of its own class with equal
+    fields, and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())

@@ -67,6 +67,16 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _param(args: argparse.Namespace, spec: tuple, chosen: str) -> tuple[int | None, str | None]:
+    # The parameter that a (name, least, maker) entry of counting.STREAMS or
+    # qseries.GF_KINDS reads from args, and the usage error if it is too small.
+    name, least, _ = spec
+    param = None if name is None else getattr(args, name)
+    if least is not None and param < least:
+        return param, f"{chosen} requires --{name} >= {least}"
+    return param, None
+
+
 def _canonical(payload: object) -> str:
     # The JSON encoding of every stdout byte, compact with sorted keys; the
     # renderer below gives its bytes with no dict per row.  CSV never loads json.
@@ -176,10 +186,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.fn == "q":
         values = map(partitions.distinct_parts_count, range(args.n_max + 1))
     else:
-        name, least, _ = counting.STREAMS[args.fn]
-        param = None if name is None else getattr(args, name)
-        if least is not None and param < least:
-            return _fail(f"--fn {args.fn} requires --{name} >= {least}")
+        param, error = _param(args, counting.STREAMS[args.fn], f"--fn {args.fn}")
+        if error:
+            return _fail(error)
         values = counting.table_row(args.fn, param, args.n_max)
     _emit_rows(enumerate(values), ("n", "value"), args)
     return 0
@@ -204,11 +213,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if not 0 <= args.order <= SERIES_ORDER_MAX:
         return _fail(f"--order must be in 0..{SERIES_ORDER_MAX}, got {args.order}")
     tag = _series_tags()[args.kind]
-    param = qseries.GF_KINDS[tag][0]
-    try:
-        kind = qseries.GfKind(tag, None if param is None else getattr(args, param))
-    except qseries.InvalidParamsError as exc:
-        return _fail(str(exc))
+    param, error = _param(args, qseries.GF_KINDS[tag], f"--kind {args.kind}")
+    if error:
+        return _fail(error)
+    kind = qseries.GfKind(tag, param)
     _emit_rows(enumerate(qseries.gf(kind, args.order).coeffs), ("n", "coefficient"), args)
     return 0
 

@@ -18,6 +18,8 @@ from math import isqrt
 from operator import sub
 from types import MappingProxyType
 
+from . import _Value
+
 
 class UndefinedMexError(ValueError):
     """Raised by :func:`mex_above` when j > 0 is not a part of the partition."""
@@ -25,56 +27,6 @@ class UndefinedMexError(ValueError):
 
 class MalformedSymbolError(ValueError):
     """Raised when two rows do not form a valid Frobenius symbol."""
-
-
-class _Frozen:
-    """Base of the immutable classes here and in :mod:`mexcrank.verify`.
-
-    The fields are the ``__slots__``, filled once by :meth:`_init`;
-    assigning or deleting one raises AttributeError.  The repr names every
-    field, copies and pickles carry the fields over, and equality is
-    identity unless the class is a :class:`_Value`.
-    """
-
-    __slots__ = ()
-
-    def _init(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __getstate__(self) -> tuple:
-        return self._fields()
-
-    def __setstate__(self, state: tuple) -> None:
-        self._init(*state)
-
-
-class _Value(_Frozen):
-    """A :class:`_Frozen` equal to an instance of its own class with equal
-    fields, and hashed by its fields."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 class Partition(_Value):

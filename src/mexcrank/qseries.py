@@ -32,6 +32,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, count, takewhile
 from operator import add
 
+from . import _Value
+
 
 class NonUnitError(ValueError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
@@ -192,7 +194,7 @@ def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
 
 # --- named generating functions -------------------------------------------
 
-class GfKind:
+class GfKind(_Value):
     """A named generating function plus its integer parameter, if any, as
     ``GfKind(tag, param)``; :data:`GF_KINDS` lists the tags and what each
     parameter must be.
@@ -216,28 +218,7 @@ class GfKind:
             raise InvalidParamsError(f"{tag} requires parameter {name}")
         elif least is not None and param < least:
             raise InvalidParamsError(f"{tag} requires {name} >= {least}, got {param}")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "param", param)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tag == other.tag and self.param == other.param
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.param))
-
-    def __repr__(self) -> str:
-        return f"GfKind(tag={self.tag!r}, param={self.param!r})"
-
-    def __reduce__(self) -> tuple:
-        return GfKind, (self.tag, self.param)
+        self._init(tag, param)
 
 
 def gf(kind: GfKind, order: int) -> TruncatedSeries:

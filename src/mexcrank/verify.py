@@ -20,10 +20,10 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.177-0.188 s
-(quartiles of 11 runs) and 17.6 MB max-RSS at the default budget 35, as CSV
-does, and 0.36-0.39 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
-Python 3.11.7, no bytecode cache; ``python -c pass`` takes 31 ms).
+Cold ``mexcrank verify --all --format json`` takes 0.145-0.147 s
+(quartiles of 11 runs) and 17.5 MB max-RSS at the default budget 35, as CSV
+does, and 0.31 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
+Python 3.11.7, no bytecode cache; ``python -c pass`` takes 26 ms).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.
@@ -34,14 +34,14 @@ n = 1 values on both sides, so the discrepancy is asserted, never skipped.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
-from typing import NamedTuple
 
+from . import _Frozen
 from .partitions import (
     Partition,
     PartitionStatistics,
-    _Frozen,
     distinct_parts_count,
     enumerate_partitions,
     partition_statistics_table,
@@ -133,7 +133,7 @@ def frobenius_top_avoids_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET)
     return stats.count - stats.top_entry.get(j, 0)
 
 
-class Leg(NamedTuple):
+class Leg(namedtuple("Leg", "side points lhs rhs")):
     """Two computations compared at each of their own grid points, in order.
 
     ``points()`` makes the leg's points afresh; ``lhs`` and ``rhs`` map one
@@ -142,10 +142,7 @@ class Leg(NamedTuple):
     ``"side"``, so each record says which leg produced it.
     """
 
-    side: str | None
-    points: Callable[[], Iterable[Params]]
-    lhs: Callable[[Params], int]
-    rhs: Callable[[Params], int]
+    __slots__ = ()
 
     @property
     def grid(self) -> Iterable[Params]:
@@ -155,12 +152,17 @@ class Leg(NamedTuple):
 
 
 class IdentityCheck(_Frozen):
-    """A named claim: two independent computations that must agree exactly.
+    """A named claim: two computations that must agree exactly.
 
     ``legs`` are evaluated in order; each fixes its grid points and the two
-    callables compared on them.  The two callables of a leg must come from
-    disjoint code paths (enumeration vs formula, or two different series
-    constructions); the registry below upholds that split.  ``grid`` is the
+    callables compared on them.  The oracle side never imports a formula
+    module, but five legs of the registry below share code between their
+    two callables: COR_0CRANK ``expansion`` sums the same combination of
+    p values on both sides; EWELL_EVEN and PROP_O13 ``formula`` play a
+    p row against the q(n) table, which share the pentagonal slice sums of
+    :mod:`mexcrank.partitions`; both sides of SERIES_HEINE run
+    ``qseries._running_sum``; and DURFEE_RECT shares only the series
+    plumbing.  ROADMAP.md item 8 has the measurement.  ``grid`` is the
     points of every leg, in evaluation order.  Immutable; equal only to
     itself.
     """
@@ -178,12 +180,11 @@ class IdentityCheck(_Frozen):
         return tuple(point for leg in self.legs for point in leg.grid)
 
 
-class CheckRecord(NamedTuple):
-    """One grid point's outcome: parameters and both values."""
+class CheckRecord(namedtuple("CheckRecord", "params lhs rhs")):
+    """One grid point's outcome: its ``params`` and the integers ``lhs`` and
+    ``rhs``."""
 
-    params: Params
-    lhs: int
-    rhs: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -292,9 +293,11 @@ def registry(
     # oracle side import-independent of the closed forms it is checking.
     from . import counting, qseries
 
+    # One GfKind and one build per distinct series; qseries.gf and GfKind
+    # are read at call time, so a wrapper bound to either sees every build.
     @lru_cache(maxsize=None)
-    def gf(kind: qseries.GfKind, n: int) -> qseries.TruncatedSeries:
-        return qseries.gf(kind, n)
+    def series(order: int, tag: str, param: int | None = None) -> qseries.TruncatedSeries:
+        return qseries.gf(qseries.GfKind(tag, param), order)
 
     def span(default: int) -> int:
         return default if n_max is None else n_max
@@ -322,12 +325,12 @@ def registry(
         return counting.crank_count(0, p["n"])
 
     def frob_no0_series(p: Params) -> int:
-        return gf(qseries.GfKind("frob_no0"), series_top)[p["n"]]
+        return series(series_top, "frob_no0")[p["n"]]
 
     def frob_no0_step(p: Params) -> int:
         # Coefficient n of (1 - q) times the zero-free Frobenius series.
-        series, n = gf(qseries.GfKind("frob_no0"), series_top), p["n"]
-        return series[n] - (series[n - 1] if n else 0)
+        frob, n = series(series_top, "frob_no0"), p["n"]
+        return frob[n] - (frob[n - 1] if n else 0)
 
     def pinned_n1(side: str, param: str, values: Mapping[int, tuple[int, int]],
                   formula: Callable[[Params], int],
@@ -368,7 +371,7 @@ def registry(
             Leg("oracle", lambda: ({"m": m, "n": n} for m in range(-12, 13) for n in range(2, top + 1)),
                 crank_enumerated, crank_formula),
             Leg("series", lambda: ({"m": m, "n": n} for m in range(13) for n in range(series_top + 1)),
-                lambda p: gf(qseries.GfKind("crank_m", p["m"]), series_top)[p["n"]],
+                lambda p: series(series_top, "crank_m", p["m"])[p["n"]],
                 crank_formula),
             *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula, crank_enumerated),
         )),
@@ -407,12 +410,12 @@ def registry(
         ), (
             Leg("series",
                 lambda: ({"j": j, "n": n} for j in range(9) for n in range(j, series_top + 1)),
-                lambda p: gf(qseries.GfKind("frob_noj_top", p["j"]), series_top)[p["n"] - p["j"]],
+                lambda p: series(series_top, "frob_noj_top", p["j"])[p["n"] - p["j"]],
                 crank_geq_formula),
             Leg("oracle",
                 lambda: ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
                 lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=reach),
-                lambda p: gf(qseries.GfKind("frob_noj_top", p["j"]), series_top)[p["w"]]),
+                lambda p: series(series_top, "frob_noj_top", p["j"])[p["w"]]),
         )),
         IdentityCheck("PROP_O13", (
             "Among partitions of n, those with mex = 1 mod 4 outnumber those "
@@ -464,7 +467,7 @@ def registry(
         ), (
             Leg(None, lambda: ({"n": n} for n in range(series_top + 1)),
                 frob_no0_step,
-                lambda p: gf(qseries.GfKind("crank0_alt"), series_top)[p["n"]]),
+                lambda p: series(series_top, "crank0_alt")[p["n"]]),
         )),
         IdentityCheck("DURFEE_RECT", (
             "Classifying partitions by their largest s x (s+b) Durfee "
@@ -472,15 +475,15 @@ def registry(
             "every offset b."
         ), (
             Leg(None, lambda: ({"b": b, "n": n} for b in range(11) for n in range(series_top + 1)),
-                lambda p: gf(qseries.GfKind("durfee_rect_b", p["b"]), series_top)[p["n"]],
-                lambda p: gf(qseries.GfKind("euler_inv"), series_top)[p["n"]]),
+                lambda p: series(series_top, "durfee_rect_b", p["b"])[p["n"]],
+                lambda p: series(series_top, "euler_inv")[p["n"]]),
         )),
         IdentityCheck("CRANK_GF_CONSISTENCY", (
             "Coefficients of the crank generating function at parameter m "
             "equal the closed-form crank counts M(m,n)."
         ), (
             Leg(None, lambda: ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
-                lambda p: gf(qseries.GfKind("crank_m", p["m"]), crank_top)[p["n"]],
+                lambda p: series(crank_top, "crank_m", p["m"])[p["n"]],
                 crank_formula),
         )),
     )

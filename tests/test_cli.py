@@ -179,6 +179,24 @@ class TestSeries:
         capsys.readouterr()
 
 
+# Every parameter with a least value: subcommand, selecting flag, choice,
+# parameter name and least value, from qseries.GF_KINDS and counting.STREAMS.
+BOUNDED_PARAMS = [
+    *(("series", "--kind", spelling, name, least)
+      for spelling, tag in cli._series_tags().items()
+      for name, least, _ in [GF_KINDS[tag]] if least is not None),
+    *(("table", "--fn", fn, name, least)
+      for fn, (name, least, _) in counting.STREAMS.items() if least is not None),
+]
+
+
+@pytest.mark.parametrize("command, flag, choice, name, least", BOUNDED_PARAMS)
+def test_param_below_least_value_names_the_flags(command, flag, choice, name, least, capsys):
+    code, out, err = run_cli([command, flag, choice, f"--{name}", str(least - 1)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"mexcrank: error: {flag} {choice} requires --{name} >= {least}\n"
+
+
 class _CountingStdout:
     # A stdout stand-in that keeps only the number of writes and the bytes.
     def __init__(self):

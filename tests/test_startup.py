@@ -1,5 +1,5 @@
 """What a cold run loads: each subcommand imports only the mexcrank modules
-it runs, and no path loads ``dataclasses`` or ``inspect``."""
+it runs, and no module loads ``typing``, ``dataclasses`` or ``inspect``."""
 
 from __future__ import annotations
 
@@ -56,6 +56,17 @@ def test_each_subcommand_loads_only_its_modules(args):
     assert not loaded & {"dataclasses", "inspect"}
     if "--format json" not in args and not args.startswith("stat"):
         assert "json" not in loaded
+
+
+def test_no_module_loads_typing():
+    # -I -S: no site, so no .pth file has loaded typing before mexcrank runs.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from mexcrank import cli, counting, partitions, qseries, verify; "
+             "print(*sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
 
 
 # Imports the package alone, then one name, then every name.

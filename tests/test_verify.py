@@ -140,6 +140,31 @@ class TestRegistry:
             (r.params, r.lhs, r.rhs) for r in default.records]
 
 
+    def test_each_series_is_built_once(self, monkeypatch):
+        # One GfKind and one build per (tag, param, order), however many
+        # points read the series; the crank_m series at order 40 serve
+        # both COR_CRANKRECUR and CRANK_GF_CONSISTENCY.
+        from mexcrank import qseries
+        kinds, builds = [], []
+        real_kind, real_gf = qseries.GfKind, qseries.gf
+
+        def counted_kind(*args):
+            kinds.append(args)
+            return real_kind(*args)
+
+        def counted_gf(kind, order):
+            builds.append((kind.tag, kind.param, order))
+            return real_gf(kind, order)
+
+        monkeypatch.setattr(qseries, "GfKind", counted_kind)
+        monkeypatch.setattr(qseries, "gf", counted_gf)
+        for check in registry(40, budget=12):
+            report = run_check(check)
+            assert report.passed, (check.check_id, report.first_counterexample)
+        assert len(builds) == len(set(builds)) == 36
+        assert len(kinds) == len(builds)
+
+
 class TestRunCheck:
     def test_empty_grid_rejected(self):
         empty = Leg("a", tuple, lambda p: 0, lambda p: 0)
