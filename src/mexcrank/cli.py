@@ -24,18 +24,21 @@ from itertools import islice
 # The largest table --n-max and series --order accepted, so that a huge value
 # is a usage error and not a hang or a MemoryError; the library takes any
 # size.  Cold, on 2 CPUs with Python 3.11.7, where `python -c pass` takes
-# 31 ms, a row costs about one p table, 0.17 s at n_max = 20000 and 2 s and
-# 30 MB at 100000, and crank0_alt, the costliest series, 0.37 s at order
-# 5000, 1.4 s at 10000 and 5 s and 21 MB at 20000.
+# 25 ms, a row costs about one p table, 0.14 s at n_max = 20000 and 1.6 s
+# and 29 MB at 100000.  The costliest series is durfee_rect with b >= order,
+# whose start factors 1/(q)_min(b, order) cost O(min(b, order) * order):
+# 0.51 s at order 5000, 2 s at 10000 and 9 s and 18 MB at 20000, where
+# crank0_alt, the next, takes 0.32 s, 1.2 s and 4.5 s and 21 MB.
 TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify, whose --n-max and --order size the same rows and
 # series.  Cold, at 20000, the costliest check alone (CRANK_GF_CONSISTENCY,
-# COR_CRANKRECUR) takes about 8 s and 138 MB, and all 14 checks 20 s and
-# 207 MB under --n-max and 24 s and 180 MB under --order, in either format,
+# COR_CRANKRECUR) takes about 4.7 s and 138 MB, and all 14 checks 16 s and
+# 207 MB under --n-max and 14 s and 181 MB under --order, in either format,
 # the closed-form rows holding 43 and 33 MiB.  --budget's cost grows with
-# p(n): PROP_MEXFORM at 50 takes 1.1 s and 17 MB; p(80) is 15.8M partitions.
+# p(n): PROP_MEXFORM at 50 takes 0.42 s and 16 MB; p(80) is 15.8M
+# partitions.  Measured as above, the same day.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
@@ -106,7 +109,9 @@ def _template(keys: tuple[str, ...]) -> str:
 
 
 def _params_text(params: verify.Params) -> str:
-    return _template(tuple(params)).format(*map(_value_text, params.values()))
+    # str.format writes an int as str() does, so only other values need text.
+    return _template(tuple(params)).format(
+        *[value if type(value) is int else _value_text(value) for value in params.values()])
 
 
 def _record_texts(check_id: str, records: Iterable[verify.CheckRecord]) -> Iterator[str]:

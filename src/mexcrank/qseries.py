@@ -75,9 +75,10 @@ class TruncatedSeries:
 
     def __getitem__(self, k: int) -> int:
         """Coefficient of q^k; k must lie within 0..order."""
-        if not 0 <= k <= self.order:
+        coeffs = self._coeffs
+        if not 0 <= k < len(coeffs):
             raise IndexError(f"exponent {k} outside truncation order {self.order}")
-        return self._coeffs[k]
+        return coeffs[k]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -20,10 +20,10 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.145-0.147 s
-(quartiles of 11 runs) and 17.5 MB max-RSS at the default budget 35, as CSV
-does, and 0.31 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
-Python 3.11.7, no bytecode cache; ``python -c pass`` takes 26 ms).
+Cold ``mexcrank verify --all --format json`` takes 0.125-0.127 s
+(quartiles of 21 runs) and 17.2 MB max-RSS at the default budget 35, as CSV
+does, and 0.21 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
+Python 3.11.7, no bytecode cache; ``python -c pass`` takes 25 ms).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.
@@ -35,8 +35,9 @@ n = 1 values on both sides, so the discrepancy is asserted, never skipped.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
+from itertools import chain, repeat, tee
 
 from . import _Frozen
 from .partitions import (
@@ -247,9 +248,17 @@ def run_check(check: IdentityCheck) -> VerificationReport:
     everywhere.  Records come back in grid order; a check with no point in
     any leg raises ValueError before anything is evaluated."""
     _require_points(check)
-    return VerificationReport(check.check_id, check.statement, tuple(
-        CheckRecord(point, leg.lhs(point), leg.rhs(point))
-        for leg in check.legs for point in leg.grid))
+    return VerificationReport(check.check_id, check.statement,
+                              tuple(chain.from_iterable(map(_leg_records, check.legs))))
+
+
+def _leg_records(leg: Leg) -> Iterator[CheckRecord]:
+    # The records of one leg, made in C: zip keeps the three copies of the
+    # grid in step, so tee holds at most one point, and tuple.__new__ runs
+    # no Python frame where CheckRecord(...) runs namedtuple's __new__.
+    points, lhs_points, rhs_points = tee(leg.grid, 3)
+    return map(tuple.__new__, repeat(CheckRecord),
+               zip(points, map(leg.lhs, lhs_points), map(leg.rhs, rhs_points)))
 
 
 def perturbed(check: IdentityCheck, where: Params, delta: int = 1) -> IdentityCheck:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import sys
 import types
 
@@ -12,6 +13,7 @@ from mexcrank import verify
 from mexcrank.partitions import crank, mex, to_frobenius
 from mexcrank.verify import (
     BudgetExceededError,
+    CheckRecord,
     IdentityCheck,
     Leg,
     checks_by_id,
@@ -190,6 +192,23 @@ class TestRunCheck:
         check = checks_by_id(10, budget=10)["EWELL_EVEN"]
         report = run_check(check)
         assert [record.params for record in report.records] == list(check.grid)
+
+    @pytest.mark.parametrize("check", (
+        *registry(40, budget=12),
+        perturbed(checks_by_id(40, budget=12)["THM_FROB_J"], {"j": 3}),
+    ), ids=lambda check: check.check_id)
+    def test_records_match_the_plain_construction(self, check):
+        # run_check makes its records in C, one leg at a time; they must be
+        # the CheckRecords this one expression makes, in the same order.
+        expected = tuple(CheckRecord(point, leg.lhs(point), leg.rhs(point))
+                         for leg in check.legs for point in leg.grid)
+        records = run_check(check).records
+        assert records == expected
+        for record in records:
+            assert type(record) is CheckRecord
+            assert record._replace(rhs=None) == CheckRecord(record.params, record.lhs, None)
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is CheckRecord and copy == record
 
 
 class TestPerturbation:
