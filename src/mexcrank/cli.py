@@ -87,15 +87,13 @@ def _canonical(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# The renderer: a str is encoded once, an int is str(), any other value goes
-# through _canonical (format(True) is "True").  Its caches hold the registry's
-# few dozen check ids, statements, sides and key tuples.
+# The renderer: a str is encoded once and any other value goes through
+# _canonical; _params_text passes an int to str.format as it is.  Its caches
+# hold the registry's few dozen check ids, statements, sides and key tuples.
 _string_text = lru_cache(maxsize=None)(_canonical)
 
 
 def _value_text(value: object) -> str:
-    if type(value) is int:
-        return str(value)
     return _string_text(value) if type(value) is str else _canonical(value)
 
 
@@ -109,7 +107,8 @@ def _template(keys: tuple[str, ...]) -> str:
 
 
 def _params_text(params: verify.Params) -> str:
-    # str.format writes an int as str() does, so only other values need text.
+    # str.format writes an int as str() does, so only other values need text;
+    # a bool is not an int here, since format(True) is "True".
     return _template(tuple(params)).format(
         *[value if type(value) is int else _value_text(value) for value in params.values()])
 

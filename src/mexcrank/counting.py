@@ -143,13 +143,8 @@ def _stream(fn: str, param: int | None) -> Callable[[int | None], Terms]:
 
 
 def _count(fn: str, param: int | None, n: int) -> int:
-    # Entry n of the fn row at param; param is checked on every call, and
-    # a hit then costs one dict lookup and an index.
-    stream = _stream(fn, param)
-    row = _ROWS.get((fn, param), ())
-    if 0 <= n < len(row):
-        return row[n]
-    return _row_entry((fn, param), stream, n)
+    # Entry n of the fn row at param; param is checked on every call.
+    return _row_entry((fn, param), _stream(fn, param), n)
 
 
 def table_row(fn: str, param: int | None, n_max: int) -> list[int]:

@@ -341,12 +341,24 @@ def test_m_and_minus_m_read_one_row(fresh_rows):
 def test_invalid_param_raises_at_every_n(fn, count, bad, good, fresh_rows):
     # The parameter is checked on every call, hit or miss, and before the
     # n < 0 shortcut, so a row grown for a valid parameter changes nothing.
-    # No call makes a row under a bad key, so one is planted: a hit that
-    # read it before the check would return its 0.
-    fresh_rows[(fn, bad)] = [0] * partitions._BLOCK
     for _ in range(2):
         for n in (-5, 0, 8):
             with pytest.raises(ValueError):
                 count(bad, n)
         count(good, 8)
-    assert list(fresh_rows) == [(fn, bad), (fn, good)]
+    assert list(fresh_rows) == [(fn, good)]
+
+
+@pytest.mark.parametrize("fn, count, bad", [("crank_geq", crank_geq_count, -1),
+                                            ("x_mex", mex_count, 0)],
+                         ids=["crank_geq", "x_mex"])
+def test_invalid_param_raises_over_a_cached_row(fn, count, bad, fresh_rows):
+    # No call makes a row under a bad key, so one is planted: a hit that read
+    # it before the parameter check would return its 0 and not raise.
+    planted = [0] * partitions._BLOCK
+    fresh_rows[(fn, bad)] = planted
+    for n in (-5, 0, 8):
+        with pytest.raises(ValueError):
+            count(bad, n)
+    assert fresh_rows == {(fn, bad): [0] * partitions._BLOCK}
+    assert fresh_rows[(fn, bad)] is planted
