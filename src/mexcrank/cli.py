@@ -25,10 +25,12 @@ from itertools import islice
 # is a usage error and not a hang or a MemoryError; the library takes any
 # size.  Cold, on 2 CPUs with Python 3.11.7, where `python -c pass` takes
 # 25 ms, a row costs about one p table, 0.14 s at n_max = 20000 and 1.6 s
-# and 29 MB at 100000.  The costliest series is durfee_rect with b >= order,
-# whose start factors 1/(q)_min(b, order) cost O(min(b, order) * order):
-# 0.51 s at order 5000, 2 s at 10000 and 9 s and 18 MB at 20000, where
-# crank0_alt, the next, takes 0.32 s, 1.2 s and 4.5 s and 21 MB.
+# and 29 MB at 100000.  The costliest series is durfee_rect with b = order/2,
+# the largest b whose start factors 1/(q)_b are b divisions by (1 - q^k),
+# O(b * order): 0.38 s at order 5000, 1.4 s at 10000 and 6.3 s and 18 MB at
+# 20000, where crank0_alt, the next, takes 0.31 s, 1.1 s and 4.4 s and
+# 21 MB.  Past order/2 the start factors come from the pentagonal division
+# instead, and b >= order takes 0.14 s at 20000.
 TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 

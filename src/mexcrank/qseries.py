@@ -9,15 +9,19 @@ private kernels, one per shape of series:
   coefficients.  It serves the pentagonal product (q;q)_inf and the sparse
   numerators over it: the crank, crank-at-least-j and top-row-avoiding
   Frobenius series, and the distinct-parts series as (q^2;q^2)_inf /
-  (q;q)_inf.  Those quotients are solved by pentagonal division, one
-  coefficient at a time with O(sqrt(N)) terms each, so they cost
-  O(N*sqrt(N)) rather than a dense O(N^2) product.
-* ``_running_sum`` evaluates sum_s q^e(s) / ((q)_s (q)_(s+b)) by Horner's
-  rule, from the last term with e(s) <= N outwards, on one tail cut to
-  N - e(s): each step divides it by the (1 - q^k) of term s and prepends
-  1 and the gap down to e(s-1), so no pass adds terms into a total.  It
-  serves the zero-free Frobenius series, the Durfee-rectangle decompositions
-  and the Heine sum behind ``crank0_alt``.
+  (q;q)_inf.  Those quotients are solved by pentagonal division with
+  O(sqrt(N)) terms per coefficient, so they cost O(N*sqrt(N)) rather than
+  a dense O(N^2) product.  The division runs a block of 128 coefficients
+  at a time: the offsets from 128 up to the block's start become C-level
+  column sums of slices, and only the 18 offsets below 128 and those past
+  the block's start run per coefficient.
+* ``_running_sum`` evaluates sum_s q^e(s) / ((q)_s (q^(b+1);q)_s) by
+  Horner's rule, from the last term with e(s) <= N outwards, in place in
+  one list of N + 1 coefficients: each step divides the suffix from e(s)
+  by the (1 - q^k) of term s and sets the coefficient at e(s-1) to 1, so
+  no pass adds terms into a total.  It serves the zero-free Frobenius
+  series, the Durfee-rectangle decompositions, whose start factors
+  1/(q)_b come after it, and the Heine sum behind ``crank0_alt``.
 
 The partition series alone is the *inverted* pentagonal product, so its
 coefficients arrive by a different route than the recurrence in
@@ -28,9 +32,10 @@ so the truncation is finite and exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, count, takewhile
-from operator import add
+from itertools import accumulate, count, repeat, takewhile
+from operator import add, mul, sub
 
 from . import _Value
 
@@ -104,8 +109,12 @@ class TruncatedSeries:
             a, b = b, a
         out = [0] * (n + 1)
         for i, ai in enumerate(a):
-            if ai:
-                out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
+            if ai == 1:
+                out[i:] = map(add, out[i:], b)
+            elif ai == -1:
+                out[i:] = map(sub, out[i:], b)
+            elif ai:
+                out[i:] = map(add, out[i:], map(mul, repeat(ai), b))
         return TruncatedSeries(out)
 
     def invert(self) -> TruncatedSeries:
@@ -171,25 +180,25 @@ def pochhammer_finite(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-# In-place primitives on coefficient lists.  Multiplying by (1 - q^k) reads
-# below the write index, so it walks downward.  Dividing (the geometric
-# expansion of 1/(1 - q^k)) makes each residue class mod k a running sum.
-# For small k (k * k < len) that is k C-level accumulates over the strided
-# classes; otherwise it walks up one block of k entries at a time, a block
-# reading only the block below it.  Either way there are at most sqrt(len)
-# slice operations per division.
+# In-place primitives on coefficient lists.  Multiplying by (1 - q^k) is one
+# C-level subtraction of two slices, both taken before the write.  Dividing
+# (the geometric expansion of 1/(1 - q^k)) the suffix from lo makes each
+# residue class mod k a running sum.  For small k (k * k below the suffix
+# length) that is k C-level accumulates over the strided classes; otherwise
+# it walks up one block of k entries at a time, a block reading only the
+# block below it.  Either way there are at most sqrt(len) slice operations
+# per division.
 
 def _mul_one_minus_qk(coeffs: list[int], k: int) -> None:
-    for i in range(len(coeffs) - 1, k - 1, -1):
-        coeffs[i] -= coeffs[i - k]
+    coeffs[k:] = map(sub, coeffs[k:], coeffs[:len(coeffs) - k])
 
 
-def _div_one_minus_qk(coeffs: list[int], k: int) -> None:
-    if k * k < len(coeffs):
-        for r in range(k):
+def _div_one_minus_qk(coeffs: list[int], k: int, lo: int = 0) -> None:
+    if k * k < len(coeffs) - lo:
+        for r in range(lo, lo + k):
             coeffs[r::k] = accumulate(coeffs[r::k])
     else:
-        for i in range(k, len(coeffs), k):
+        for i in range(lo + k, len(coeffs), k):
             coeffs[i:i + k] = map(add, coeffs[i:i + k], coeffs[i - k:i])
 
 
@@ -257,7 +266,18 @@ def _pentagonal() -> Iterator[tuple[int, int]]:
         yield g + k, sign
 
 
-def _divide_by_poch(num: Sequence[int]) -> TruncatedSeries:
+# _divide_by_poch works a block of _BLOCK coefficients at a time, each block
+# starting at a multiple of _BLOCK.  For a pentagonal offset g with
+# _BLOCK <= g <= start, every n of the block reads out[n - g] from below
+# start, so the terms of these "far" offsets for the whole block are column
+# sums of slices, done in C.
+# The other offsets, the 18 below _BLOCK and those past start, run per n,
+# since they read the block itself or reach past n.  The first two blocks
+# have no far offset, so orders below 256 take the per-n loop alone.
+_BLOCK = 128
+
+
+def _divide_by_poch(num: Sequence[int]) -> list[int]:
     """num / (q;q)_inf to the order of num, by the pentagonal recurrence.
 
     Solves (q;q)_inf * out = num one coefficient at a time:
@@ -265,45 +285,63 @@ def _divide_by_poch(num: Sequence[int]) -> TruncatedSeries:
     numbers 0 < g <= n, where c_g = +-1.  That is O(sqrt(n)) terms per
     coefficient instead of a dense product with 1/(q;q)_inf.
     """
-    poch = _sparse(len(num) - 1, _pentagonal())
+    size = len(num)
+    poch = _sparse(size - 1, _pentagonal())
     minus = [g for g, c in enumerate(poch) if c < 0]
     plus = [g for g, c in enumerate(poch) if c > 0 and g]
     out: list[int] = []
-    for n, acc in enumerate(num):
-        for g in minus:
-            if g > n:
-                break
-            acc += out[n - g]
-        for g in plus:
-            if g > n:
-                break
-            acc -= out[n - g]
-        out.append(acc)
-    return TruncatedSeries(out)
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        far_minus, step_minus = _split_offsets(minus, start)
+        far_plus, step_plus = _split_offsets(plus, start)
+        block = num[start:stop]
+        if far_minus or far_plus:
+            block = map(sub, map(sum, zip(block, *(out[start - g:stop - g] for g in far_minus))),
+                        map(sum, zip(repeat(0, stop - start),
+                                     *(out[start - g:stop - g] for g in far_plus))))
+        for n, acc in zip(range(start, stop), block):
+            for g in step_minus:
+                if g > n:
+                    break
+                acc += out[n - g]
+            for g in step_plus:
+                if g > n:
+                    break
+                acc -= out[n - g]
+            out.append(acc)
+    return out
 
 
-def _running_sum(order: int, start: Iterable[int], exponent: Callable[[int], int],
-                 factors: Callable[[int], Iterable[int]]) -> TruncatedSeries:
-    """sum_{s>=0} q^exponent(s) * R_s to the order, where R_0 is 1 over the
-    (1 - q^k) for k in start, and R_s is R_(s-1) over those for k in factors(s).
+def _split_offsets(offsets: list[int], start: int) -> tuple[list[int], list[int]]:
+    # The ascending offsets split into the far ones, _BLOCK <= g <= start,
+    # and the rest, still ascending.
+    near = bisect_left(offsets, _BLOCK)
+    past = max(near, bisect_right(offsets, start))
+    return offsets[near:past], offsets[:near] + offsets[past:]
+
+
+def _running_sum(order: int, exponent: Callable[[int], int],
+                 factors: Callable[[int], Iterable[int]]) -> list[int]:
+    """Coefficients 0..order of sum_{s>=0} q^exponent(s) * R_s, where R_0 is 1
+    and R_s is R_(s-1) over the (1 - q^k) for k in factors(s).
 
     The exponents must increase.  The sum is evaluated from its last term
-    with exponent <= order outwards (Horner): T_last = 1, and
-    T_(s-1) = 1 + q^(exponent(s) - exponent(s-1)) * T_s over the factors(s),
-    each T_s held only to order - exponent(s).  The result is q^exponent(0)
-    times T_0 over the start factors.
+    with exponent <= order outwards (Horner), in one list: it holds
+    q^exponent(s) * T_s, with T_last = 1 and
+    T_(s-1) = 1 + q^(exponent(s) - exponent(s-1)) * T_s over the factors(s).
+    A step divides the suffix from exponent(s) and sets the coefficient at
+    exponent(s-1) to 1; everything below exponent(s) is still 0.
     """
     exponents = list(takewhile(lambda e: e <= order, map(exponent, count())))
+    coeffs = [0] * (order + 1)
     if not exponents:
-        return zero(order)
-    tail = [1] + [0] * (order - exponents[-1])
+        return coeffs
+    coeffs[exponents[-1]] = 1
     for s in range(len(exponents) - 1, 0, -1):
         for k in factors(s):
-            _div_one_minus_qk(tail, k)
-        tail[:0] = [1] + [0] * (exponents[s] - exponents[s - 1] - 1)
-    for k in start:
-        _div_one_minus_qk(tail, k)
-    return TruncatedSeries([0] * exponents[0] + tail)
+            _div_one_minus_qk(coeffs, k, exponents[s])
+        coeffs[exponents[s - 1]] = 1
+    return coeffs
 
 
 def _gf_poch_q_inf(order: int) -> TruncatedSeries:
@@ -316,44 +354,54 @@ def _gf_euler_inv(order: int) -> TruncatedSeries:
 
 def _gf_distinct(order: int) -> TruncatedSeries:
     # prod (1 + q^k) = (q^2;q^2)_inf / (q;q)_inf.
-    return _divide_by_poch(_sparse(order, ((2 * g, c) for g, c in _pentagonal())))
+    return TruncatedSeries(_divide_by_poch(_sparse(order, ((2 * g, c) for g, c in _pentagonal()))))
 
 
 def _gf_crank_m(m: int, order: int) -> TruncatedSeries:
     # (1/(q)_inf) * sum_{n>=1} (-1)^(n-1) q^(n(n-1)/2 + n|m|) (1 - q^n).
     terms = (term for n in count(1) for e in [n * (n - 1) // 2 + n * abs(m)]
              for term in ((e, (-1) ** (n - 1)), (e + n, (-1) ** n)))
-    return _divide_by_poch(_sparse(order, terms))
+    return TruncatedSeries(_divide_by_poch(_sparse(order, terms)))
 
 
 def _gf_crank_geq_j(j: int, order: int) -> TruncatedSeries:
     # (1/(q)_inf) * sum_{k>=0} q^((2k+1)(k+j)) (1 - q^(2k+j+1)).
     terms = (term for k in count() for e in [(2 * k + 1) * (k + j)]
              for term in ((e, 1), (e + 2 * k + j + 1, -1)))
-    return _divide_by_poch(_sparse(order, terms))
+    return TruncatedSeries(_divide_by_poch(_sparse(order, terms)))
 
 
 def _gf_frob_noj_top(j: int, order: int) -> TruncatedSeries:
     # (1/(q)_inf) * sum_{b>=0} (-1)^b q^(b(b+1)/2 + jb).
     terms = ((b * (b + 1) // 2 + j * b, (-1) ** b) for b in count())
-    return _divide_by_poch(_sparse(order, terms))
+    return TruncatedSeries(_divide_by_poch(_sparse(order, terms)))
 
 
 def _gf_frob_no0(order: int) -> TruncatedSeries:
     # sum_{s>=0} q^(s^2 + 2s) / (q)_s^2.
-    return _running_sum(order, (), lambda s: s * s + 2 * s, lambda s: (s, s))
+    return TruncatedSeries(_running_sum(order, lambda s: s * s + 2 * s, lambda s: (s, s)))
 
 
 def _gf_crank0_alt(order: int) -> TruncatedSeries:
     # (q)_inf * sum_{k>=0} q^(2k) / (q)_k^2.
-    return _gf_poch_q_inf(order) * _running_sum(order, (), lambda k: 2 * k, lambda k: (k, k))
+    heine = TruncatedSeries(_running_sum(order, lambda k: 2 * k, lambda k: (k, k)))
+    return _gf_poch_q_inf(order) * heine
 
 
 def _gf_durfee_rect_b(b: int, order: int) -> TruncatedSeries:
-    # sum_{s>=0} q^(s^2 + bs) / ((q)_s (q)_(s+b)).  Dividing by (1 - q^k) with
-    # k > order changes nothing to the order, so the start factors stop there.
-    start = range(1, min(b, order) + 1)
-    return _running_sum(order, start, lambda s: s * s + b * s, lambda s: (s, s + b))
+    # (1/(q)_b) * sum_{s>=0} q^(s^2 + bs) / ((q)_s (q^(b+1);q)_s).  Dividing by
+    # (1 - q^k) with k > order changes nothing to the order, so to the order
+    # 1/(q)_b is 1/(q;q)_inf times the (1 - q^k) for k = b+1..order: past
+    # order/2 that is the fewer factor steps.
+    coeffs = _running_sum(order, lambda s: s * s + b * s, lambda s: (s, s + b))
+    if 2 * b > order:
+        coeffs = _divide_by_poch(coeffs)
+        for k in range(b + 1, order + 1):
+            _mul_one_minus_qk(coeffs, k)
+    else:
+        for k in range(1, b + 1):
+            _div_one_minus_qk(coeffs, k)
+    return TruncatedSeries(coeffs)
 
 
 # Every named generating function, by tag: the name of its integer

@@ -163,7 +163,9 @@ class IdentityCheck(_Frozen):
     p row against the q(n) table, which share the pentagonal slice sums of
     :mod:`mexcrank.partitions`; both sides of SERIES_HEINE run
     ``qseries._running_sum``; and DURFEE_RECT shares only the series
-    plumbing.  ROADMAP.md item 8 has the measurement.  ``grid`` is the
+    plumbing, though when ``--order`` is below 2b its lhs applies the
+    start factors 1/(q)_b by the pentagonal division, coded apart from
+    the ``invert()`` of its rhs.  ROADMAP.md item 8 has the measurement.  ``grid`` is the
     points of every leg, in evaluation order.  Immutable; equal only to
     itself.
     """

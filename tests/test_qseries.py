@@ -78,16 +78,23 @@ class TestArithmetic:
 
     def test_sparse_times_dense_either_way_round(self):
         order = 300
-        sparse = gf(GfKind("poch_q_inf"), order)
-        dense = random_series(random.Random(300), order)
-        naive = [0] * (order + 1)
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                naive[i + j] += sparse[i] * dense[j]
-        assert (sparse * dense).coeffs == tuple(naive)
-        assert (dense * sparse).coeffs == tuple(naive)
-        assert sparse * gf(GfKind("euler_inv"), order) == one(order)
-        assert gf(GfKind("euler_inv"), order) * sparse == one(order)
+        poch = gf(GfKind("poch_q_inf"), order)
+        rng = random.Random(300)
+        dense = random_series(rng, order)
+        # Terms of +-1 in the sparser operand take one path, every other
+        # coefficient another: the pentagonal product has only the first
+        # kind, the second operand both, from its constant term on.
+        mixed = TruncatedSeries([-3] + [rng.choice((1, -1, 2, -7, 10**30)) if rng.random() < 0.1
+                                        else 0 for _ in range(order)])
+        for sparse in (poch, mixed):
+            naive = [0] * (order + 1)
+            for i in range(order + 1):
+                for j in range(order + 1 - i):
+                    naive[i + j] += sparse[i] * dense[j]
+            assert (sparse * dense).coeffs == tuple(naive)
+            assert (dense * sparse).coeffs == tuple(naive)
+        assert poch * gf(GfKind("euler_inv"), order) == one(order)
+        assert gf(GfKind("euler_inv"), order) * poch == one(order)
 
     def test_mixed_orders_truncate_to_smaller(self):
         a = TruncatedSeries((1, 2, 3, 4))
@@ -203,7 +210,9 @@ class TestGfKind:
         assert len({GfKind("euler_inv"), GfKind("euler_inv")}) == 1
 
 
-RUNNING_SUM_ORDERS = (*range(61), 400)
+# Orders on both sides of the block edges of the pentagonal division.
+EDGE_ORDERS = (127, 128, 129, 255, 256, 257, 400, 600)
+RUNNING_SUM_ORDERS = (*range(61), *EDGE_ORDERS)
 
 
 class TestNamedSeries:
@@ -240,11 +249,18 @@ class TestNamedSeries:
         assert gf(GfKind("frob_noj_top", 0), 4).coeffs == (1, 0, 1, 2, 3)
 
     # Every order 0..60 crosses each truncation boundary of the running sum;
-    # each case compares against a series from the other kernel.
+    # each case compares against a series from the other kernel.  Past
+    # b = order/2 the start factors 1/(q)_b come from the pentagonal
+    # division instead of b divisions by (1 - q^k).
     def test_durfee_rect_equals_euler_inv(self):
         for order in RUNNING_SUM_ORDERS:
             reference = gf(GfKind("euler_inv"), order)
             for b in range(11):
+                assert gf(GfKind("durfee_rect_b", b), order) == reference, (b, order)
+        for order in (60, 400):
+            reference = gf(GfKind("euler_inv"), order)
+            half = order // 2
+            for b in (half - 1, half, half + 1, order - 1, order, order + 1, 2 * order):
                 assert gf(GfKind("durfee_rect_b", b), order) == reference, (b, order)
 
     def test_crank0_alt_equals_crank_m_zero(self):
@@ -340,7 +356,7 @@ def frob_noj_top_terms(j: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-ROUTE_ORDERS = (*range(41), 400)
+ROUTE_ORDERS = (*range(41), *EDGE_ORDERS)
 
 
 class TestPentagonalDivisionRoutes:
@@ -381,29 +397,28 @@ def geometric_division(coeffs: list[int], k: int) -> list[int]:
     return [sum(coeffs[i::-k]) for i in range(len(coeffs))]
 
 
-def accumulating_running_sum(order, start, exponent, factors) -> TruncatedSeries:
+def accumulating_running_sum(order, exponent, factors) -> list[int]:
     """sum_s q^exponent(s) * R_s, adding each term to the total in turn, with
     the running factor R_s kept at full length."""
     out = [0] * (order + 1)
     running = [1] + [0] * order
     s = 0
     while exponent(s) <= order:
-        for k in factors(s) if s else start:
+        for k in factors(s) if s else ():
             running = geometric_division(running, k)
         e = exponent(s)
         for i in range(e, order + 1):
             out[i] += running[i - e]
         s += 1
-    return TruncatedSeries(out)
+    return out
 
 
-# The start factors, exponent and factors of frob_no0, of the sum inside
-# crank0_alt and of durfee_rect_b for b in 0, 1, 3, 7.
+# The exponent and factors of frob_no0, of the sum inside crank0_alt and of
+# the sum inside durfee_rect_b for b in 0, 1, 3, 7.
 RUNNING_SUM_CASES = {
-    "frob_no0": ((), lambda s: s * s + 2 * s, lambda s: (s, s)),
-    "crank0_alt_sum": ((), lambda k: 2 * k, lambda k: (k, k)),
-    **{f"durfee_rect_b{b}": (range(1, b + 1), lambda s, b=b: s * s + b * s,
-                             lambda s, b=b: (s, s + b))
+    "frob_no0": (lambda s: s * s + 2 * s, lambda s: (s, s)),
+    "crank0_alt_sum": (lambda k: 2 * k, lambda k: (k, k)),
+    **{f"durfee_rect_b{b}": (lambda s, b=b: s * s + b * s, lambda s, b=b: (s, s + b))
        for b in (0, 1, 3, 7)},
 }
 
@@ -417,21 +432,24 @@ class TestRunningSum:
 
     def test_order_below_first_exponent_is_zero(self):
         for order in range(5):
-            series = _running_sum(order, (1, 2), lambda s: s + 5, lambda s: (s,))
-            assert series == zero(order)
+            assert _running_sum(order, lambda s: s + 5, lambda s: (s,)) == [0] * (order + 1)
 
     def test_order_zero_is_first_term_constant(self):
-        assert _running_sum(0, (1, 2), lambda s: s, lambda s: (s,)) == one(0)
+        assert _running_sum(0, lambda s: s, lambda s: (s,)) == [1]
 
 
 class TestDivOneMinusQk:
-    # k * k < len takes the residue-class branch, the rest the block walk;
-    # k up to len + 2 covers k * k == len and k >= len.
+    # k * k below the suffix length takes the residue-class branch, the
+    # rest the block walk; k up to that length + 2 covers k * k equal to
+    # it and k past it.  A division from lo leaves the entries below lo
+    # alone and divides the suffix as a series of its own.
     def test_matches_geometric_expansion(self):
         rng = random.Random(8)
         for length in range(41):
-            for k in range(1, length + 3):
-                coeffs = [rng.randint(-9, 9) for _ in range(length)]
-                expected = geometric_division(coeffs, k)
-                _div_one_minus_qk(coeffs, k)
-                assert coeffs == expected, (length, k)
+            for lo in range(length + 1):
+                for k in range(1, length - lo + 3):
+                    coeffs = [rng.randint(-9, 9) for _ in range(length)]
+                    expected = coeffs[:lo] + geometric_division(coeffs[lo:], k)
+                    _div_one_minus_qk(coeffs, k, lo)
+                    assert coeffs == expected, (length, lo, k)
+
