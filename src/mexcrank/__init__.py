@@ -61,15 +61,16 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_MODULES})
 
 
-class _Frozen:
-    """Base of the immutable classes of :mod:`mexcrank.partitions`,
+class _Value:
+    """Base of the immutable value classes of :mod:`mexcrank.partitions`,
     :mod:`mexcrank.qseries` and :mod:`mexcrank.verify`; it lives here, which
     every submodule loads, so that ``qseries`` need not load ``partitions``.
 
     The fields are the ``__slots__``, filled once by :meth:`_init`;
     assigning or deleting one raises AttributeError.  The repr names every
-    field, copies and pickles carry the fields over, and equality is
-    identity unless the class is a :class:`_Value`.
+    field, and copies and pickles carry the fields over.  An instance equals
+    an instance of its own class with equal fields and is hashed by its
+    fields, so it is unhashable when a field is.
     """
 
     __slots__ = ()
@@ -91,19 +92,6 @@ class _Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def __getstate__(self) -> tuple:
-        return self._fields()
-
-    def __setstate__(self, state: tuple) -> None:
-        self._init(*state)
-
-
-class _Value(_Frozen):
-    """A :class:`_Frozen` equal to an instance of its own class with equal
-    fields, and hashed by its fields."""
-
-    __slots__ = ()
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -111,3 +99,9 @@ class _Value(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self._fields())
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)

@@ -24,21 +24,20 @@ from itertools import islice
 # The largest table --n-max and series --order accepted, so that a huge value
 # is a usage error and not a hang or a MemoryError; the library takes any
 # size.  Cold, on 2 CPUs with Python 3.11.7, where `python -c pass` takes
-# 25 ms, a row costs about one p table, 0.14 s at n_max = 20000 and 1.6 s
-# and 29 MB at 100000.  The costliest series is durfee_rect with b = order/2,
-# the largest b whose start factors 1/(q)_b are b divisions by (1 - q^k),
-# O(b * order): 0.38 s at order 5000, 1.4 s at 10000 and 6.3 s and 18 MB at
-# 20000, where crank0_alt, the next, takes 0.31 s, 1.1 s and 4.4 s and
-# 21 MB.  Past order/2 the start factors come from the pentagonal division
-# instead, and b >= order takes 0.14 s at 20000.
+# 25 ms, a row costs about one p table, 0.14 s at n_max = 20000 and 1.7 s
+# and 29 MB at 100000.  The costliest series is crank0_alt: 0.31 s at order
+# 5000, 1.1 s at 10000 and 4.4 s and 21 MB at 20000.  The next is
+# durfee_rect with b near 0.3 * order, where its start factors 1/(q)_b, as
+# b divisions by (1 - q^k) or as the pentagonal division, cost the same:
+# 0.27 s, 0.99 s and 4.1-4.2 s and 18 MB; b >= order takes 0.14 s at 20000.
 TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify, whose --n-max and --order size the same rows and
 # series.  Cold, at 20000, the costliest check alone (CRANK_GF_CONSISTENCY,
-# COR_CRANKRECUR) takes about 4.7 s and 138 MB, and all 14 checks 16 s and
-# 207 MB under --n-max and 14 s and 181 MB under --order, in either format,
-# the closed-form rows holding 43 and 33 MiB.  --budget's cost grows with
+# COR_CRANKRECUR) takes about 4.4 s and 137 MB, and all 15 checks 16 s and
+# 205 MB under --n-max and 14 s and 180 MB under --order, in either format,
+# the closed-form rows holding 43 and 36 MiB.  --budget's cost grows with
 # p(n): PROP_MEXFORM at 50 takes 0.42 s and 16 MB; p(80) is 15.8M
 # partitions.  Measured as above, the same day.
 VERIFY_N_MAX = 20_000

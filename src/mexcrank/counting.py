@@ -14,9 +14,9 @@ use, ``partitions._slice_sums``; a call that hits costs a dict lookup and
 an index.  There is one row per stream and parameter (M is keyed by |m|,
 and Ewell's two sums share one row), held for the life of the process like
 the p table: at most (rows used) x (largest n asked, rounded up to 128)
-entries.  The default ``verify`` grows 40 rows, 13,952 entries in all,
-which take 0.54 MiB (``sys.getsizeof`` of each row and its entries, 64-bit
-CPython 3.11.7); ``verify --order 20000`` grows them to 33.4 MiB and
+entries.  The default ``verify`` grows 40 rows, 19,712 entries in all,
+which take 0.81 MiB (``sys.getsizeof`` of each row and its entries, 64-bit
+CPython 3.11.7); ``verify --order 20000`` grows them to 36.5 MiB and
 ``--n-max 20000`` to 42.8 MiB.  A ``table`` row, :func:`table_row`, takes
 the other route: the row's generating function is S(q)/(q;q)_inf, with S
 the sum of c q^g, so :func:`mexcrank.partitions.euler_quotient` divides S by

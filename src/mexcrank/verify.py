@@ -20,9 +20,9 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.125-0.127 s
-(quartiles of 21 runs) and 17.2 MB max-RSS at the default budget 35, as CSV
-does, and 0.21 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
+Cold ``mexcrank verify --all --format json`` takes 0.154-0.159 s
+(quartiles of 21 runs) and 18.7 MB max-RSS at the default budget 35, as CSV
+does, and 0.22 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
 Python 3.11.7, no bytecode cache; ``python -c pass`` takes 25 ms).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
@@ -39,7 +39,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import chain, repeat, tee
 
-from . import _Frozen
+from . import _Value
 from .partitions import (
     Partition,
     PartitionStatistics,
@@ -152,22 +152,23 @@ class Leg(namedtuple("Leg", "side points lhs rhs")):
         return ({"side": self.side, **point} for point in self.points())
 
 
-class IdentityCheck(_Frozen):
+class IdentityCheck(_Value):
     """A named claim: two computations that must agree exactly.
 
     ``legs`` are evaluated in order; each fixes its grid points and the two
     callables compared on them.  The oracle side never imports a formula
-    module, but five legs of the registry below share code between their
-    two callables: COR_0CRANK ``expansion`` sums the same combination of
-    p values on both sides; EWELL_EVEN and PROP_O13 ``formula`` play a
-    p row against the q(n) table, which share the pentagonal slice sums of
-    :mod:`mexcrank.partitions`; both sides of SERIES_HEINE run
-    ``qseries._running_sum``; and DURFEE_RECT shares only the series
-    plumbing, though when ``--order`` is below 2b its lhs applies the
-    start factors 1/(q)_b by the pentagonal division, coded apart from
-    the ``invert()`` of its rhs.  ROADMAP.md item 8 has the measurement.  ``grid`` is the
-    points of every leg, in evaluation order.  Immutable; equal only to
-    itself.
+    module, but six legs of the registry below share code between their
+    two callables: COR_0CRANK ``expansion`` and PROP_MEXRES ``oe_crank0``
+    each sum one combination of p values on both sides; EWELL_EVEN and
+    PROP_O13 ``formula`` play a p row against the q(n) table, which share
+    the pentagonal slice sums of :mod:`mexcrank.partitions`; both sides of
+    SERIES_HEINE run ``qseries._running_sum``; and DURFEE_RECT shares only
+    the series plumbing, though when ``--order`` is below 10b/3 its lhs
+    applies the start factors 1/(q)_b by the pentagonal division, coded
+    apart from the ``invert()`` of its rhs.  ROADMAP.md item 8 has the
+    measurement.  ``grid`` is the points of every leg, in evaluation order.
+    Immutable; equal to a check with equal fields, so a copy equals its
+    original.
     """
 
     __slots__ = ("check_id", "statement", "legs")
@@ -203,9 +204,10 @@ class CheckRecord(namedtuple("CheckRecord", "params lhs rhs")):
         }
 
 
-class VerificationReport(_Frozen):
+class VerificationReport(_Value):
     """Deterministic per-point results for one check, in grid order.
-    Immutable; equal only to itself."""
+    Immutable; equal to a report with equal fields, so two runs of one
+    check give equal reports, and unhashable, as its records hold dicts."""
 
     __slots__ = ("check_id", "statement", "records")
     check_id: str
@@ -318,7 +320,7 @@ def registry(
     # further: top, or n = 1 for the pinned legs.
     reach = min(budget, max(top, 1))
     series_top = order if order is not None else span(200)
-    o13_top, crank_top = span(400), span(300)
+    o13_top, crank_top, mexres_top = span(400), span(300), span(2000)
 
     def crank_geq_formula(p: Params) -> int:
         return counting.crank_geq_count(p["j"], p["n"])
@@ -359,6 +361,17 @@ def registry(
 
     def o13_rhs(p: Params) -> int:
         return distinct_parts_count(p["n"] // 2) if p["n"] % 2 == 0 else 0
+
+    def mex_class_leg(stream: str, count: Callable[[int], int], residue: int,
+                      modulus: int) -> Leg:
+        # The count of partitions whose mex is residue mod modulus, by its
+        # counting stream against the enumeration.
+        return Leg(f"{stream}_oracle", lambda: ({"n": n} for n in range(top + 1)),
+                   lambda p: mex_residue_oracle(p["n"], residue, modulus, budget=reach),
+                   lambda p: count(p["n"]))
+
+    def no0_top_series(p: Params) -> int:
+        return series(mexres_top, "frob_noj_top", 0)[p["n"]]
 
     return (
         IdentityCheck("THM_JCRANK", (
@@ -496,6 +509,33 @@ def registry(
             Leg(None, lambda: ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
                 lambda p: series(crank_top, "crank_m", p["m"])[p["n"]],
                 crank_formula),
+        )),
+        IdentityCheck("PROP_MEXRES", (
+            "The counts o(n), e(n), o1(n) and o3(n) of partitions of n with mex odd, "
+            "even, 1 mod 4 and 3 mod 4 match enumeration; o(n) and o1(n) + o3(n) "
+            "count the partitions of n with no 0 in the Frobenius top row, as odd "
+            "mex, crank at least 0 and no 0 there are equinumerous; e(n) + o(n) "
+            "is p(n); and o(n) - e(n) is the crank-zero count M(0,n)."
+        ), (
+            mex_class_leg("o", counting.odd_mex_count, 1, 2),
+            mex_class_leg("e", counting.even_mex_count, 0, 2),
+            mex_class_leg("o1", counting.mex_1mod4_count, 1, 4),
+            mex_class_leg("o3", counting.mex_3mod4_count, 3, 4),
+            Leg("o_series", lambda: ({"n": n} for n in range(mexres_top + 1)),
+                no0_top_series, lambda p: counting.odd_mex_count(p["n"])),
+            # o1 + o3 is the combination of p values that o is, so this leg
+            # adds to o_series only the spelling of the o1 and o3 streams.
+            # o - e and M(0, n) are one combination too: oe_crank0 catches a
+            # misspelled stream, not a fault of the p table.
+            Leg("o13_series", lambda: ({"n": n} for n in range(mexres_top + 1)),
+                no0_top_series,
+                lambda p: counting.mex_1mod4_count(p["n"]) + counting.mex_3mod4_count(p["n"])),
+            Leg("oe_partitions", lambda: ({"n": n} for n in range(series_top + 1)),
+                lambda p: series(series_top, "euler_inv")[p["n"]],
+                lambda p: counting.even_mex_count(p["n"]) + counting.odd_mex_count(p["n"])),
+            Leg("oe_crank0", lambda: ({"n": n} for n in range(mexres_top + 1)),
+                lambda p: counting.odd_mex_count(p["n"]) - counting.even_mex_count(p["n"]),
+                crank_zero_formula),
         )),
     )
 

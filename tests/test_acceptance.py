@@ -179,5 +179,5 @@ def test_criterion_13_harness_integrity():
     assert code == 0
     payload = json.loads(stdout.getvalue())
     assert payload["pass"] is True
-    assert len(payload["reports"]) == 14
+    assert len(payload["reports"]) == 15
     assert all(report["pass"] for report in payload["reports"])

@@ -373,7 +373,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
-        assert len(payload["reports"]) == 14
+        assert len(payload["reports"]) == 15
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -788,9 +788,14 @@ class TestCeilings:
 
 
 class TestGoldenOutput:
-    # sha256 of cold `verify --format json|csv` stdout at the default ranges,
-    # recorded from the list-based enumeration oracle.  Any change to a
-    # report byte must show up here.
+    # sha256 of cold `verify --format json|csv` stdout at the default ranges
+    # for the first 14 checks, selected in registry order, recorded from the
+    # list-based enumeration oracle.  Any change to a report byte of theirs
+    # must show up here.
+    FIRST_14 = tuple(arg for check_id in (
+        "THM_JCRANK", "COR_CRANKRECUR", "PROP_MEXFORM", "COR_0CRANK", "PROP_NOF0",
+        "THM_FROB_J", "PROP_O13", "EWELL_EVEN", "EWELL_ODD", "THM_AN_PARITY", "INEQ_OE",
+        "SERIES_HEINE", "DURFEE_RECT", "CRANK_GF_CONSISTENCY") for arg in ("--check", check_id))
     DIGESTS = {
         "json": "7b205d482a4bc740d3cbcae9a8a11f4a711a6edf8f89405e64026dc02e25771d",
         "csv": "3c7297ed027e00306663b07b4d37165a7a902716db80082bf1bd05271bcfe3c2",
@@ -800,6 +805,13 @@ class TestGoldenOutput:
     # and budget routing of each check's grid is pinned too.
     OVERRIDES = ("--n-max", "14", "--budget", "10", "--order", "60")
     OVERRIDE_DIGEST = "10bc827fa990f299cb69ea9f8f9ed53558189191c19ac3b80e3d3e4680aa86da"
+
+    # The same three for `verify --all`, PROP_MEXRES included.
+    ALL_DIGESTS = {
+        "json": "4facdb7dcbf8c8af4f24e9024e439e9b9d1420c1e554e34050d666deb406673e",
+        "csv": "5cc072ffe3d5796864551bed2aec0f7f9a4b9a498d9f57a1e8b979789382de8a",
+    }
+    ALL_OVERRIDE_DIGEST = "ee01b77a0680a6507055596e34be2e73f0626ecc70f448a0877781daf6bf307a"
 
     # sha256 of cold `table` stdout, recorded before the row kernel evaluated
     # blocks of n, so that every byte of a row is pinned, not only its values.
@@ -838,11 +850,21 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("fmt", sorted(DIGESTS))
     def test_default_verify_stdout_digest(self, fmt):
-        assert self.stdout_digest("verify", "--format", fmt) == self.DIGESTS[fmt]
+        digest = self.stdout_digest("verify", *self.FIRST_14, "--format", fmt)
+        assert digest == self.DIGESTS[fmt]
 
     def test_override_verify_stdout_digest(self):
-        digest = self.stdout_digest("verify", "--format", "json", *self.OVERRIDES)
+        digest = self.stdout_digest("verify", *self.FIRST_14, "--format", "json",
+                                    *self.OVERRIDES)
         assert digest == self.OVERRIDE_DIGEST
+
+    @pytest.mark.parametrize("fmt", sorted(ALL_DIGESTS))
+    def test_all_verify_stdout_digest(self, fmt):
+        assert self.stdout_digest("verify", "--all", "--format", fmt) == self.ALL_DIGESTS[fmt]
+
+    def test_all_override_verify_stdout_digest(self):
+        digest = self.stdout_digest("verify", "--all", "--format", "json", *self.OVERRIDES)
+        assert digest == self.ALL_OVERRIDE_DIGEST
 
     def test_default_verify_summary_lines(self):
         # Each check's stderr line carries its record count and wall time;
@@ -852,9 +874,9 @@ class TestGoldenOutput:
             [sys.executable, "-m", "mexcrank", "verify", "--format", "json"],
             capture_output=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
-        assert hashlib.sha256(result.stdout).hexdigest() == self.DIGESTS["json"]
+        assert hashlib.sha256(result.stdout).hexdigest() == self.ALL_DIGESTS["json"]
         lines = result.stderr.decode().splitlines()
-        assert len(lines) == 14
+        assert len(lines) == 15
         for line in lines:
             assert re.fullmatch(r"\w+: (pass|FAIL) \(\d+ records, \d+ ms\)", line), line
 
@@ -868,7 +890,7 @@ class TestGoldenOutput:
         assert len(partitions.shared_partition_table(0)) > 4000
         code, out, _ = run_cli(["verify", "--format", "json"], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["json"]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ALL_DIGESTS["json"]
 
     @pytest.mark.parametrize("args", sorted(TABLE_DIGESTS))
     def test_table_stdout_digest(self, args):

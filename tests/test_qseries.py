@@ -258,9 +258,11 @@ class TestNamedSeries:
             for b in range(11):
                 assert gf(GfKind("durfee_rect_b", b), order) == reference, (b, order)
         for order in (60, 400):
+            # The start factors change route past b = 3 * order / 10.
             reference = gf(GfKind("euler_inv"), order)
-            half = order // 2
-            for b in (half - 1, half, half + 1, order - 1, order, order + 1, 2 * order):
+            cut, half = 3 * order // 10, order // 2
+            for b in (cut - 1, cut, cut + 1, half - 1, half, half + 1,
+                      order - 1, order, order + 1, 2 * order):
                 assert gf(GfKind("durfee_rect_b", b), order) == reference, (b, order)
 
     def test_crank0_alt_equals_crank_m_zero(self):

@@ -1,4 +1,4 @@
-"""The six value classes: equality, hashing, repr, immutability, validation
+"""The seven value classes: equality, hashing, repr, immutability, validation
 and keyword construction, pinned so that a change of how they are declared
 keeps how they behave."""
 
@@ -19,9 +19,11 @@ from mexcrank import (
     MalformedSymbolError,
     Partition,
     PartitionStatistics,
+    TruncatedSeries,
     VerificationReport,
     checks_by_id,
     partition_statistics,
+    qseries,
     run_check,
 )
 from mexcrank.verify import CheckRecord
@@ -183,18 +185,56 @@ class TestGfKind:
             GfKind(*args)
 
 
+class TestTruncatedSeries:
+    def test_equality_and_hash(self):
+        series = TruncatedSeries((1, -1), 3)
+        assert series == TruncatedSeries(coeffs=[1, -1, 0, 0])
+        assert series != TruncatedSeries((1, -1), 4)
+        assert series != (1, -1, 0, 0)
+        assert hash(series) == hash(((1, -1, 0, 0),))
+        assert {series: 1}[TruncatedSeries((1, -1, 0, 0))] == 1
+
+    def test_immutable(self):
+        series = TruncatedSeries((5, 6, 7))
+        assert_frozen(series, "coeffs")
+        with pytest.raises(AttributeError):
+            series._coeffs = (9,)
+        assert series.coeffs == (5, 6, 7)
+
+    def test_registry_series_are_immutable(self, monkeypatch):
+        # The registry shares each series between checks through its memo;
+        # qseries.gf is read at call time, so this wrapper sees every build.
+        built = []
+        gf = qseries.gf
+
+        def recording_gf(kind, order):
+            built.append(gf(kind, order))
+            return built[-1]
+
+        monkeypatch.setattr(qseries, "gf", recording_gf)
+        check = checks_by_id(12, budget=6)["THM_FROB_J"]
+        report = run_check(check)
+        assert len(built) == 9
+        for series in built:
+            assert_frozen(series, "coeffs")
+        assert run_check(check) == report and len(built) == 9
+
+
 def _leg():
     return Leg(None, lambda: [{"n": 1}], lambda point: 1, lambda point: 1)
 
 
 class TestIdentityCheck:
-    def test_identity_equality(self):
+    def test_value_equality(self):
         legs = (_leg(),)
         check = IdentityCheck("ID", "a claim", legs)
         twin = IdentityCheck(check_id="ID", statement="a claim", legs=legs)
-        assert check == check and check != twin
-        assert hash(check) == object.__hash__(check)
-        assert len({check, twin}) == 2
+        assert check == twin and hash(check) == hash(twin)
+        assert len({check, twin}) == 1
+        assert check != IdentityCheck("ID", "another claim", legs)
+        assert check != IdentityCheck("ID", "a claim", (_leg(),))  # other callables
+        assert check != ("ID", "a claim", legs)
+        assert copy.copy(check) == check and copy.copy(check) is not check
         assert (check.check_id, check.statement, check.legs) == ("ID", "a claim", legs)
 
     def test_repr(self):
@@ -212,14 +252,22 @@ class TestIdentityCheck:
 
 
 class TestVerificationReport:
-    def test_identity_equality(self):
+    def test_value_equality(self):
         records = (CheckRecord({"n": 1}, 1, 2),)
         report = VerificationReport("ID", "a claim", records)
-        twin = VerificationReport(check_id="ID", statement="a claim", records=records)
-        assert report == report and report != twin
-        assert hash(report) == object.__hash__(report)
-        assert len({report, twin}) == 2
+        twin = VerificationReport(check_id="ID", statement="a claim",
+                                  records=(CheckRecord({"n": 1}, 1, 2),))
+        assert report == twin
+        assert report != VerificationReport("ID", "a claim", (CheckRecord({"n": 1}, 2, 2),))
+        assert report != VerificationReport("ID", "a claim", records[:0])
+        with pytest.raises(TypeError):
+            hash(report)  # its records hold dicts, as PartitionStatistics does
         assert not report.passed and report.first_counterexample == records[0]
+
+    def test_two_runs_of_one_check_are_equal(self):
+        check = checks_by_id(12, budget=6)["THM_JCRANK"]
+        first, second = run_check(check), run_check(check)
+        assert first == second and first is not second
 
     def test_repr(self):
         records = (CheckRecord({"n": 1}, 1, 1),)
@@ -239,7 +287,7 @@ class TestVerificationReport:
 
 @pytest.mark.parametrize("value", [
     Partition((3, 1)), Partition(), FrobeniusSymbol((1,), (0,)), GfKind("crank_m", 3),
-    GfKind("distinct"),
+    GfKind("distinct"), TruncatedSeries((1, -1, 0, 7)),
 ])
 def test_copies_and_pickles_are_equal(value):
     assert copy.copy(value) == value == copy.deepcopy(value)

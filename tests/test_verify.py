@@ -45,6 +45,7 @@ ALL_CHECK_IDS = (
     "SERIES_HEINE",
     "DURFEE_RECT",
     "CRANK_GF_CONSISTENCY",
+    "PROP_MEXRES",
 )
 
 
@@ -165,6 +166,25 @@ class TestRegistry:
             assert report.passed, (check.check_id, report.first_counterexample)
         assert len(builds) == len(set(builds)) == 36
         assert len(kinds) == len(builds)
+
+
+class TestMexResidues:
+    def test_e_stream_mutant_fails_at_105(self, monkeypatch):
+        # 2 taken from the e stream's term at offset 105 = t_14 moves e(n)
+        # from n = 105 on, past the enumeration and past what the other
+        # checks read of e; PROP_MEXRES reads e + o against p(n).
+        from mexcrank import counting
+        name, least, stream = counting.STREAMS["e"]
+
+        def mutant(param):
+            return ((g, c - 2 * (g == 105)) for g, c in stream(param))
+
+        monkeypatch.setitem(counting.STREAMS, "e", (name, least, mutant))
+        monkeypatch.setattr(counting, "_ROWS", {})
+        report = run_check(checks_by_id()["PROP_MEXRES"])
+        assert not report.passed
+        assert report.first_counterexample.params == {"side": "oe_partitions", "n": 105}
+        assert report.first_counterexample.rhs - report.first_counterexample.lhs == -2
 
 
 class TestRunCheck:
