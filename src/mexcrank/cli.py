@@ -312,8 +312,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             start = time.perf_counter()
             report = verify.run_check(check)
             elapsed_ms = round((time.perf_counter() - start) * 1000)
-            all_passed &= report.passed
-            print(f"{check.check_id}: {'pass' if report.passed else 'FAIL'} "
+            passed = report.passed
+            all_passed &= passed
+            print(f"{check.check_id}: {'pass' if passed else 'FAIL'} "
                   f"({len(report.records)} records, {elapsed_ms} ms)", file=sys.stderr)
             if args.format == "json":
                 _write_report(out.write, report, "," if index else "")

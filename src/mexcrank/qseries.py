@@ -12,9 +12,9 @@ private kernels, one per shape of series:
   (q;q)_inf.  Those quotients are solved by pentagonal division with
   O(sqrt(N)) terms per coefficient, so they cost O(N*sqrt(N)) rather than
   a dense O(N^2) product.  The division runs a block of 128 coefficients
-  at a time: the offsets from 128 up to the block's start become C-level
-  column sums of slices, and only the 18 offsets below 128 and those past
-  the block's start run per coefficient.
+  at a time: every offset from 128 up to the block's end is a C-level
+  column sum of slices, zero-padded in front where it passes the block's
+  start, and only the 18 offsets below 128 run per coefficient.
 * ``_running_sum`` evaluates sum_s q^e(s) / ((q)_s (q^(b+1);q)_s) by
   Horner's rule, from the last term with e(s) <= N outwards, in place in
   one list of N + 1 coefficients: each step divides the suffix from e(s)
@@ -32,7 +32,7 @@ so the truncation is finite and exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, count, repeat, takewhile
 from operator import add, mul, sub
@@ -260,13 +260,13 @@ def _pentagonal() -> Iterator[tuple[int, int]]:
 
 
 # _divide_by_poch works a block of _BLOCK coefficients at a time, each block
-# starting at a multiple of _BLOCK.  For a pentagonal offset g with
-# _BLOCK <= g <= start, every n of the block reads out[n - g] from below
-# start, so the terms of these "far" offsets for the whole block are column
-# sums of slices, done in C.
-# The other offsets, the 18 below _BLOCK and those past start, run per n,
-# since they read the block itself or reach past n.  The first two blocks
-# have no far offset, so orders below 256 take the per-n loop alone.
+# starting at a multiple of _BLOCK.  A pentagonal offset g >= _BLOCK below
+# the block's end reads only out[n - g] from below the block's start, so the
+# terms of these "far" offsets for the whole block are column sums of slices
+# of out, done in C; a slice is zero-padded in front where g passes the
+# block's start, since out[n - g] is 0 for n < g.  Only the 18 "near"
+# offsets, below _BLOCK, run per n, since they read the block itself.  The
+# same block rule grows the p table in mexcrank.partitions, coded apart.
 _BLOCK = 128
 
 
@@ -279,38 +279,29 @@ def _divide_by_poch(num: Sequence[int]) -> list[int]:
     coefficient instead of a dense product with 1/(q;q)_inf.
     """
     size = len(num)
-    poch = _sparse(size - 1, _pentagonal())
-    minus = [g for g, c in enumerate(poch) if c < 0]
-    plus = [g for g, c in enumerate(poch) if c > 0 and g]
+    terms = list(takewhile(lambda term: term[0] < size, _pentagonal()))[1:]
+    minus = [g for g, c in terms if c < 0]
+    plus = [g for g, c in terms if c > 0]
+    i, j = bisect_left(minus, _BLOCK), bisect_left(plus, _BLOCK)
+    near_minus, far_minus, near_plus, far_plus = minus[:i], minus[i:], plus[:j], plus[j:]
     out: list[int] = []
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
-        far_minus, step_minus = _split_offsets(minus, start)
-        far_plus, step_plus = _split_offsets(plus, start)
-        block = num[start:stop]
-        if far_minus or far_plus:
-            block = map(sub, map(sum, zip(block, *(out[start - g:stop - g] for g in far_minus))),
-                        map(sum, zip(repeat(0, stop - start),
-                                     *(out[start - g:stop - g] for g in far_plus))))
+        zeros = [0] * (stop - start)
+        far = [[out[start - g:stop - g] if g <= start else zeros[:g - start] + out[:stop - g]
+                for g in offsets[:bisect_left(offsets, stop)]] for offsets in (far_minus, far_plus)]
+        block = map(sub, map(sum, zip(num[start:stop], *far[0])), map(sum, zip(zeros, *far[1])))
         for n, acc in zip(range(start, stop), block):
-            for g in step_minus:
+            for g in near_minus:
                 if g > n:
                     break
                 acc += out[n - g]
-            for g in step_plus:
+            for g in near_plus:
                 if g > n:
                     break
                 acc -= out[n - g]
             out.append(acc)
     return out
-
-
-def _split_offsets(offsets: list[int], start: int) -> tuple[list[int], list[int]]:
-    # The ascending offsets split into the far ones, _BLOCK <= g <= start,
-    # and the rest, still ascending.
-    near = bisect_left(offsets, _BLOCK)
-    past = max(near, bisect_right(offsets, start))
-    return offsets[near:past], offsets[:near] + offsets[past:]
 
 
 def _running_sum(order: int, exponent: Callable[[int], int],

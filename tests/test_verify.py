@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pickle
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,31 @@ class TestMexResidues:
         assert not report.passed
         assert report.first_counterexample.params == {"side": "oe_partitions", "n": 105}
         assert report.first_counterexample.rhs - report.first_counterexample.lhs == -2
+
+
+class TestMutationProbe:
+    # The probe's table, loaded by path and not run: each mutant's old text
+    # is still in its module exactly once, and each check id it expects to
+    # fail exists, so the table cannot drift from the code unnoticed.
+    @pytest.fixture(scope="class")
+    def probe(self):
+        path = Path(__file__).resolve().parent.parent / "tools" / "mutation_probe.py"
+        spec = importlib.util.spec_from_file_location("mutation_probe", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_old_text_occurs_once_at_head(self, probe):
+        package = Path(verify.__file__).parent
+        for mutant in probe.MUTANTS:
+            text = (package / f"{mutant.module}.py").read_text(encoding="utf-8")
+            assert text.count(mutant.old) == 1, mutant.name
+
+    def test_expectations_name_known_checks(self, probe):
+        assert len({mutant.name for mutant in probe.MUTANTS}) == len(probe.MUTANTS)
+        for mutant in probe.MUTANTS:
+            assert set(mutant.kills) <= set(ALL_CHECK_IDS), mutant.name
+            assert bool(mutant.kills) != bool(mutant.survives), mutant.name
 
 
 class TestRunCheck:
