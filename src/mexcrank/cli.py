@@ -246,7 +246,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
         "weight": lam.weight,
         "mex": partitions.mex(lam),
         "crank": partitions.crank(lam),
-        "durfee": partitions.durfee_size(lam),
+        "durfee": symbol.size,
         "frobenius": {"top": list(symbol.top), "bottom": list(symbol.bottom)},
         "mex_j": {str(j): m for j, m in mex_j.items()},
     }

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import takewhile
 from math import isqrt
-from operator import sub
+from operator import add, sub
 from types import MappingProxyType
 
 from . import _Value
@@ -522,18 +522,22 @@ def crank(partition: Partition) -> int:
     return larger - ones
 
 
+def _heights(rows: Sequence[int], lo: int, hi: int) -> list[int]:
+    # Column h of a diagram counts its rows of length at least h: the counts
+    # for h = lo..hi, hi <= rows[0], from one walk up the nonincreasing rows.
+    count = len(rows)
+    heights = []
+    for h in range(lo, hi + 1):
+        while rows[count - 1] < h:
+            count -= 1
+        heights.append(count)
+    return heights
+
+
 def conjugate(partition: Partition) -> Partition:
     """Transpose of the Young diagram; an involution."""
     parts = partition.parts
-    if not parts:
-        return Partition()
-    conj = []
-    count = len(parts)
-    for height in range(1, parts[0] + 1):
-        while parts[count - 1] < height:
-            count -= 1
-        conj.append(count)
-    return Partition(tuple(conj))
+    return Partition(_heights(parts, 1, parts[0]) if parts else ())
 
 
 def durfee_size(partition: Partition) -> int:
@@ -556,14 +560,8 @@ def to_frobenius(partition: Partition) -> FrobeniusSymbol:
     """
     parts = partition.parts
     d = durfee_size(partition)
-    top = tuple(parts[i] - i - 1 for i in range(d))
-    bottom = []
-    count = len(parts)
-    for i in range(d):
-        while parts[count - 1] <= i:
-            count -= 1
-        bottom.append(count - i - 1)
-    return FrobeniusSymbol(top, tuple(bottom))
+    diagonal = range(1, d + 1)
+    return FrobeniusSymbol(map(sub, parts, diagonal), map(sub, _heights(parts, 1, d), diagonal))
 
 
 def from_frobenius(symbol: FrobeniusSymbol) -> Partition:
@@ -576,14 +574,7 @@ def from_frobenius(symbol: FrobeniusSymbol) -> Partition:
     d = symbol.size
     if d == 0:
         return Partition()
-    rows = [symbol.top[i] + i + 1 for i in range(d)]
-    # Column heights of the first d columns; rows below the Durfee square
-    # are read off as the number of columns still reaching that depth.
-    heights = [symbol.bottom[i] + i + 1 for i in range(d)]
-    tail = []
-    reach = d
-    for depth in range(d + 1, heights[0] + 1):
-        while heights[reach - 1] < depth:
-            reach -= 1
-        tail.append(reach)
-    return Partition(tuple(rows + tail))
+    diagonal = range(1, d + 1)
+    # The first d columns; the rows below the Durfee square are their heights.
+    columns = list(map(add, symbol.bottom, diagonal))
+    return Partition((*map(add, symbol.top, diagonal), *_heights(columns, d + 1, columns[0])))

@@ -84,14 +84,10 @@ class TruncatedSeries(_Value):
         return coeffs[k]
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries([a[k] + b[k] for k in range(n + 1)])
+        return TruncatedSeries(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries([a[k] - b[k] for k in range(n + 1)])
+        return TruncatedSeries(map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.order, other.order)

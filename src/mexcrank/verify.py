@@ -157,16 +157,16 @@ class IdentityCheck(_Value):
 
     ``legs`` are evaluated in order; each fixes its grid points and the two
     callables compared on them.  The oracle side never imports a formula
-    module, but six legs of the registry below share code between their
-    two callables: COR_0CRANK ``expansion`` and PROP_MEXRES ``oe_crank0``
-    each sum one combination of p values on both sides; EWELL_EVEN and
-    PROP_O13 ``formula`` play a p row against the q(n) table, which share
-    the pentagonal slice sums of :mod:`mexcrank.partitions`; both sides of
-    SERIES_HEINE run ``qseries._running_sum``; and DURFEE_RECT shares only
-    the series plumbing, though when ``--order`` is below 10b/3 its lhs
-    applies the start factors 1/(q)_b by the pentagonal division, coded
-    apart from the ``invert()`` of its rhs.  ROADMAP.md item 8 has the
-    measurement.  ``grid`` is the points of every leg, in evaluation order.
+    module.  Beyond the series plumbing, the legs whose two callables share
+    code are the allowlist of ``tests/test_independence.py``, which audits
+    every leg: COR_0CRANK ``expansion`` and PROP_MEXRES ``oe_crank0`` each
+    sum one combination of p values on both sides, by the counting row
+    kernel over the shared p table, so they catch a misspelled stream but
+    not a fault of the p table; EWELL_EVEN and PROP_O13 ``formula`` play a
+    p row against the q(n) table, and both tables grow by ``_grow``,
+    ``_pentagonal`` and ``_slice_sums`` of partitions; and SERIES_HEINE
+    runs ``_running_sum`` and ``_div_one_minus_qk`` of qseries on both
+    sides.  ``grid`` is the points of every leg, in evaluation order.
     Immutable; equal to a check with equal fields, so a copy equals its
     original.
     """

@@ -72,3 +72,35 @@ def test_conjugate_is_an_involution(lam):
 @given(PARTITIONS)
 def test_durfee_size_is_frobenius_length(lam):
     assert durfee_size(lam) == to_frobenius(lam).size
+
+
+# The column rule, spelled out here apart from partitions._heights, which
+# conjugate, to_frobenius and from_frobenius all call: the round trip and
+# the involution would still hold if the three shared one fault.
+
+@settings(deadline=None)
+@given(PARTITIONS)
+def test_conjugate_counts_the_parts_reaching_each_height(lam):
+    parts = lam.parts
+    expected = [sum(p >= h for p in parts) for h in range(1, parts[0] + 1)] if parts else []
+    assert list(conjugate(lam).parts) == expected
+
+
+@settings(deadline=None)
+@given(PARTITIONS)
+def test_frobenius_bottom_is_column_height_less_depth(lam):
+    d = durfee_size(lam)
+    expected = [sum(p >= h for p in lam.parts) - h for h in range(1, d + 1)]
+    assert list(to_frobenius(lam).bottom) == expected
+
+
+@settings(deadline=None)
+@given(series_tuples(1), series_tuples(1))
+def test_sum_and_difference_truncate_to_the_smaller_order(single_a, single_b):
+    (a,), (b,) = single_a, single_b
+    hypothesis.assume(a.order != b.order)
+    order = min(a.order, b.order)
+    assert (a + b).order == (a - b).order == (b - a).order == order
+    assert (a + b).coeffs == tuple(a[k] + b[k] for k in range(order + 1))
+    assert (a - b).coeffs == tuple(a[k] - b[k] for k in range(order + 1))
+    assert (b - a).coeffs == tuple(b[k] - a[k] for k in range(order + 1))
