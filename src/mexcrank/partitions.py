@@ -368,10 +368,10 @@ def _pentagonal(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 # The blocks are [start, stop) with stop a multiple of _BLOCK, a power of
 # two, or limit + 1.  An offset g >= _BLOCK reads only entries below start,
-# so the terms of these "far" offsets for the whole block are column sums of
-# slices, done in C by _slice_sums; the "near" offsets, below _BLOCK (18
-# pentagonal numbers and 11 squares), run per n, since they read entries of
-# the block itself.
+# so the far offsets' terms for the whole block are column sums of slices,
+# done in C by _slice_sums.  The near offsets, below _BLOCK (18 pentagonal
+# numbers and 11 squares), run per n on a window: the _BLOCK entries below
+# start, with zeros for n < 0, then the new block, which extends the table.
 _BLOCK = 128
 
 
@@ -391,16 +391,15 @@ def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int
         # the minus slices are taken.
         far = map(sub, list(_slice_sums(table, far_plus, start, stop)),
                   _slice_sums(table, far_minus, start, stop))
+        window = [0] * (_BLOCK - start) + table[max(start - _BLOCK, 0):start]
         for n, acc in zip(range(start, stop), far):
+            i = len(window)
             for g in near_plus:
-                if g > n:
-                    break
-                acc += table[n - g]
+                acc += window[i - g]
             for g in near_minus:
-                if g > n:
-                    break
-                acc -= table[n - g]
-            table.append(scale * acc + forcing.get(n, 0))
+                acc -= window[i - g]
+            window.append(scale * acc + forcing.get(n, 0))
+        table.extend(window[_BLOCK:])
         start = stop
 
 

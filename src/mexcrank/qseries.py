@@ -12,9 +12,9 @@ private kernels, one per shape of series:
   (q;q)_inf.  Those quotients are solved by pentagonal division with
   O(sqrt(N)) terms per coefficient, so they cost O(N*sqrt(N)) rather than
   a dense O(N^2) product.  The division runs a block of 128 coefficients
-  at a time: every offset from 128 up to the block's end is a C-level
-  column sum of slices, zero-padded in front where it passes the block's
-  start, and only the 18 offsets below 128 run per coefficient.
+  at a time, behind 128 zeros that stand for the coefficients below 0:
+  every offset from 128 up to the block's end is a C-level column sum of
+  plain slices, and only the 18 offsets below 128 run per coefficient.
 * ``_running_sum`` evaluates sum_s q^e(s) / ((q)_s (q^(b+1);q)_s) by
   Horner's rule, from the last term with e(s) <= N outwards, in place in
   one list of N + 1 coefficients: each step divides the suffix from e(s)
@@ -256,13 +256,13 @@ def _pentagonal() -> Iterator[tuple[int, int]]:
 
 
 # _divide_by_poch works a block of _BLOCK coefficients at a time, each block
-# starting at a multiple of _BLOCK.  A pentagonal offset g >= _BLOCK below
-# the block's end reads only out[n - g] from below the block's start, so the
-# terms of these "far" offsets for the whole block are column sums of slices
-# of out, done in C; a slice is zero-padded in front where g passes the
-# block's start, since out[n - g] is 0 for n < g.  Only the 18 "near"
-# offsets, below _BLOCK, run per n, since they read the block itself.  The
-# same block rule grows the p table in mexcrank.partitions, coded apart.
+# starting at a multiple of _BLOCK.  Coefficient n sits at out[_BLOCK + n],
+# behind zeros for n < 0: n - g > start - stop >= -_BLOCK for every offset
+# g < stop.  An offset g >= _BLOCK reads only below the block's start, so
+# the terms of these "far" offsets for the whole block are column sums of
+# plain slices of out, done in C.  Only the 18 "near" offsets, below _BLOCK,
+# run per n, since they read the block itself.  The same block rule grows
+# the p table in mexcrank.partitions, coded apart.
 _BLOCK = 128
 
 
@@ -280,23 +280,20 @@ def _divide_by_poch(num: Sequence[int]) -> list[int]:
     plus = [g for g, c in terms if c > 0]
     i, j = bisect_left(minus, _BLOCK), bisect_left(plus, _BLOCK)
     near_minus, far_minus, near_plus, far_plus = minus[:i], minus[i:], plus[:j], plus[j:]
-    out: list[int] = []
+    out = [0] * _BLOCK
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
-        zeros = [0] * (stop - start)
-        far = [[out[start - g:stop - g] if g <= start else zeros[:g - start] + out[:stop - g]
-                for g in offsets[:bisect_left(offsets, stop)]] for offsets in (far_minus, far_plus)]
-        block = map(sub, map(sum, zip(num[start:stop], *far[0])), map(sum, zip(zeros, *far[1])))
-        for n, acc in zip(range(start, stop), block):
+        far = [[out[start + _BLOCK - g:stop + _BLOCK - g] for g in offsets[:bisect_left(offsets, stop)]]
+               for offsets in (far_minus, far_plus)]
+        block = map(sub, map(sum, zip(num[start:stop], *far[0])),
+                    map(sum, zip(repeat(0, stop - start), *far[1])))
+        for i, acc in zip(range(start + _BLOCK, stop + _BLOCK), block):
             for g in near_minus:
-                if g > n:
-                    break
-                acc += out[n - g]
+                acc += out[i - g]
             for g in near_plus:
-                if g > n:
-                    break
-                acc -= out[n - g]
+                acc -= out[i - g]
             out.append(acc)
+    del out[:_BLOCK]
     return out
 
 

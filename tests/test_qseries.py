@@ -13,6 +13,7 @@ from mexcrank.qseries import (
     NonUnitError,
     TruncatedSeries,
     _div_one_minus_qk,
+    _divide_by_poch,
     _running_sum,
     gf,
     one,
@@ -250,7 +251,7 @@ class TestNamedSeries:
 
     # Every order 0..60 crosses each truncation boundary of the running sum;
     # each case compares against a series from the other kernel.  Past
-    # b = order/2 the start factors 1/(q)_b come from the pentagonal
+    # b = 3 * order / 10 the start factors 1/(q)_b come from the pentagonal
     # division instead of b divisions by (1 - q^k).
     def test_durfee_rect_equals_euler_inv(self):
         for order in RUNNING_SUM_ORDERS:
@@ -389,6 +390,25 @@ class TestPentagonalDivisionRoutes:
         for order in RUNNING_SUM_ORDERS:
             expected = TruncatedSeries((1, -1), order) * gf(GfKind("frob_no0"), order)
             assert gf(GfKind("crank0_alt"), order) == expected, order
+
+
+class TestDivideByPoch:
+    # Dense numerators, which the named series never give.  Every size to 300
+    # crosses the block ends at 128 and 256, 1023..1025 straddle one, and 5001
+    # reads far offsets up to 5000.  Every numerator whose size is a multiple
+    # of 3 starts with more than 128 zeros where it has room, so whole far
+    # slices fall below coefficient 0.  Multiplying by (q;q)_inf undoes the
+    # division by another route, __mul__; the two share only the pentagonal
+    # numbers from _pentagonal.
+    def test_times_poch_q_inf_gives_the_numerator(self):
+        rng = random.Random(29)
+        for size in (*range(1, 301), 1023, 1024, 1025, 5001):
+            num = [rng.randint(-10**6, 10**6) for _ in range(size)]
+            if size % 3 == 0:
+                zeros = min(size - 1, rng.randint(129, 300))
+                num[:zeros] = [0] * zeros
+            product = TruncatedSeries(_divide_by_poch(num)) * gf(GfKind("poch_q_inf"), size - 1)
+            assert product == TruncatedSeries(num), size
 
 
 # The running sum and its division primitive against term-by-term references

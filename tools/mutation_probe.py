@@ -64,16 +64,20 @@ MUTANTS = (
            survives="item 9"),
     # --- the blocked pentagonal division, qseries._divide_by_poch -----------
     Mutant("poch_zero_pad_one_short", "qseries",
-           "zeros[:g - start] + out[:stop - g]",
-           "zeros[:g - start - 1] + out[:stop - g + 1]",
+           "out[start + _BLOCK - g:stop + _BLOCK - g]",
+           "out[start + _BLOCK - g + (g > start):stop + _BLOCK - g + (g > start)]",
            kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_far_slice_shifted", "qseries",
-           "out[start - g:stop - g] if g <= start",
-           "out[start - g - 1:stop - g - 1] if g < start",
+           "out[start + _BLOCK - g:stop + _BLOCK - g]",
+           "out[start + _BLOCK - g - (g < start):stop + _BLOCK - g - (g < start)]",
            kills=("CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+    Mutant("poch_prefix_strip_one_short", "qseries",
+           "    del out[:_BLOCK]\n",
+           "    del out[:_BLOCK - 1]\n",
+           kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_last_far_offset_skipped", "qseries",
            "for g in offsets[:bisect_left(offsets, stop)]]",
-           "for g in offsets[:bisect_left(offsets, stop) - 1]]",
+           "for g in offsets[:max(bisect_left(offsets, stop) - 1, 0)]]",
            kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_near_offset_126_dropped", "qseries",
            "near_minus, far_minus, near_plus, far_plus = minus[:i], minus[i:]",
@@ -183,11 +187,23 @@ MUTANTS = (
            kills=("THM_JCRANK", "COR_CRANKRECUR", "PROP_MEXFORM", "COR_0CRANK", "PROP_NOF0",
                   "THM_FROB_J", "PROP_O13", "EWELL_EVEN", "EWELL_ODD", "THM_AN_PARITY",
                   "INEQ_OE", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+    Mutant("grow_far_offsets_from_148", "partitions",
+           "i, j = bisect_left(plus, _BLOCK), bisect_left(minus, _BLOCK)",
+           "i, j = bisect_left(plus, 148), bisect_left(minus, 148)",
+           kills=("COR_CRANKRECUR", "PROP_NOF0", "THM_FROB_J", "PROP_O13", "EWELL_EVEN",
+                  "EWELL_ODD", "THM_AN_PARITY", "INEQ_OE", "CRANK_GF_CONSISTENCY",
+                  "PROP_MEXRES")),
     Mutant("p_table_plus_1_at_300", "partitions",
-           "            table.append(scale * acc + forcing.get(n, 0))\n",
-           "            table.append(scale * acc + forcing.get(n, 0) + (n == 300))\n",
+           "            window.append(scale * acc + forcing.get(n, 0))\n",
+           "            window.append(scale * acc + forcing.get(n, 0) + (n == 300))\n",
            kills=("PROP_O13", "EWELL_EVEN", "THM_AN_PARITY", "CRANK_GF_CONSISTENCY",
                   "PROP_MEXRES")),
+    Mutant("grow_window_cut_one_short", "partitions",
+           "table.extend(window[_BLOCK:])",
+           "table.extend(window[_BLOCK - 1:])",
+           kills=("THM_JCRANK", "COR_CRANKRECUR", "PROP_MEXFORM", "COR_0CRANK", "PROP_NOF0",
+                  "THM_FROB_J", "PROP_O13", "EWELL_EVEN", "EWELL_ODD", "THM_AN_PARITY",
+                  "INEQ_OE", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     # --- 2fe5135: the other series kernels -----------------------------------
     Mutant("mul_one_minus_qk_reads_one_off", "qseries",
            "coeffs[k:] = map(sub, coeffs[k:], coeffs[:len(coeffs) - k])",
@@ -200,8 +216,14 @@ MUTANTS = (
 )
 # Left out of the table, each for its reason:
 # - 2fe5135's mutant that dropped the per-n offsets past a block's start:
-#   _divide_by_poch has no such path now; poch_zero_pad_one_short takes its
-#   place.
+#   _divide_by_poch has no such path, nor a padded slice; every far offset
+#   is one slice of out behind its zeros, and poch_zero_pad_one_short
+#   shifts that slice where it passes the block's start.
+# - A zero prefix of _divide_by_poch, or a window of _grow, one entry
+#   shorter than its reads assume: the read at g = 1 then lands past the
+#   end of the list, so verify stops with an IndexError on the first
+#   coefficient: a loud failure, not a wrong value.  The two prefix mutants
+#   in the table cut one entry short where the prefix comes off instead.
 # - The mutants that CHANGES.md names as equivalent: a far offset at g = hi
 #   summed as an empty slice, the offset g = start run per n, the division's
 #   branch test ignoring lo, the durfee threshold at 2b >= order - 1, and
@@ -216,10 +238,8 @@ MUTANTS = (
 #   passes no bad parameter).
 # - c752f3f's row cut at n_max - 1 and start-factor clamp of durfee_rect:
 #   verify never calls table_row, and the clamp is gone.
-# - 8cf9a8b's far offsets of _grow taken only from 148 up, and the q table
-#   not grown to its block's end: both leave every table entry as it was
-#   (the per-n loop reads any offset right, and growth by a partial block
-#   only costs time).
+# - 8cf9a8b's q table not grown to its block's end: it leaves every table
+#   entry as it was, since growth by a partial block only costs time.
 # - The renderer mutants: verify exits 0 on them, as they change only the
 #   bytes of a report, and TestGoldenOutput guards them.
 
