@@ -13,7 +13,8 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, compress, islice
+from operator import eq, ne
 
 # Each subcommand imports the mexcrank modules it runs, when it runs, and
 # main builds the arguments of that subcommand alone: stat loads only
@@ -34,12 +35,13 @@ TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify, whose --n-max and --order size the same rows and
-# series.  Cold, at 20000, the costliest check alone (CRANK_GF_CONSISTENCY,
-# COR_CRANKRECUR) takes about 4.4 s and 137 MB, and all 15 checks 16 s and
-# 205 MB under --n-max and 14 s and 180 MB under --order, in either format,
-# the closed-form rows holding 43 and 36 MiB.  --budget's cost grows with
-# p(n): PROP_MEXFORM at 50 takes 0.42 s and 16 MB; p(80) is 15.8M
-# partitions.  Measured as above, the same day.
+# series.  Cold, at 20000, all 15 checks take about 22 s and 134 MB under
+# --n-max in JSON, the closed-form rows holding 43 MiB, on a busy host where
+# they took 28 s and 207 MB while every report held its records.  Measured
+# before that, the costliest check alone (CRANK_GF_CONSISTENCY,
+# COR_CRANKRECUR) took about 4.4 s and 137 MB, all 15 checks under --order
+# 14 s and 180 MB, and PROP_MEXFORM at --budget 50 0.42 s and 16 MB: the
+# cost of --budget grows with p(n), and p(80) is 15.8M partitions.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
@@ -83,14 +85,14 @@ def _param(args: argparse.Namespace, spec: tuple, chosen: str) -> tuple[int | No
 
 def _canonical(payload: object) -> str:
     # The JSON encoding of every stdout byte, compact with sorted keys; the
-    # renderer below gives its bytes with no dict per row.  CSV never loads json.
+    # renderer below gives its bytes with no dict per record.  CSV never loads json.
     import json
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # The renderer: a str is encoded once and any other value goes through
-# _canonical; _params_text passes an int to str.format as it is.  Its caches
-# hold the registry's few dozen check ids, statements, sides and key tuples.
+# _canonical.  Its cache holds the registry's few dozen check ids,
+# statements, sides, keys and parameter names.
 _string_text = lru_cache(maxsize=None)(_canonical)
 
 
@@ -107,38 +109,40 @@ def _template(keys: tuple[str, ...]) -> str:
                            + f":{{{i}}}" for i in order) + "}}"
 
 
-def _params_text(params: verify.Params) -> str:
-    # str.format writes an int as str() does, so only other values need text;
-    # a bool is not an int here, since format(True) is "True".
-    return _template(tuple(params)).format(
-        *[value if type(value) is int else _value_text(value) for value in params.values()])
-
-
-def _record_texts(check_id: str, records: Iterable[verify.CheckRecord]) -> Iterator[str]:
-    # Each record's _canonical(to_jsonable(...)); check_id comes as JSON text.
-    for params, lhs, rhs in records:
-        yield (f'{{"check_id":{check_id},"lhs":"{lhs!s}","params":{_params_text(params)},'
-               f'"pass":{"true" if lhs == rhs else "false"},"rhs":"{rhs!s}"}}')
+def _record_texts(check_id: str, rows: Iterable[verify.Row], csv: bool = False) -> Iterator[str]:
+    # Per row, the texts of its records, _canonical(to_jsonable(...)) or the
+    # CSV line, through one %-template of the check id (JSON text for JSON),
+    # the side, the parameter and the keys; a record formats n, lhs, pass and
+    # rhs, as str() writes an int.  CSV quotes the params text, which always
+    # holds a '"', with each '"' doubled; no check id, integer or bool needs it.
+    check_id = check_id.replace("%", "%%")
+    for leg, value, ns, lhs, rhs in rows:
+        texts = {} if leg.side is None else {"side": _string_text(leg.side)}
+        if leg.param is not None:
+            texts[leg.param] = _value_text(value)
+        texts[leg.key] = None
+        params = "{" + ",".join(_string_text(key).replace("%", "%%") + ":" + (
+            "%s" if texts[key] is None else texts[key].replace("%", "%%")) for key in sorted(texts)) + "}"
+        passes = map(("false", "true").__getitem__, map(eq, lhs, rhs))
+        if csv:
+            template = f'{check_id},"{params.replace(chr(34), chr(34) * 2)}",%s,%s,%s\n'
+            yield map(template.__mod__, zip(ns, lhs, rhs, passes))
+        else:
+            template = f'{{"check_id":{check_id},"lhs":"%s","params":{params},"pass":%s,"rhs":"%s"}}'
+            yield map(template.__mod__, zip(lhs, ns, passes, rhs))
 
 
 def _write_report(write: Callable[[str], object], report: verify.VerificationReport,
                   lead: str = "") -> None:
     # lead, then _canonical(report.to_jsonable()), _ROWS_PER_WRITE records a write.
-    check_id = _string_text(report.check_id)
-    failed = [record for record in report.records if record.lhs != record.rhs]
-    write(f'{lead}{{"check_id":{check_id},"failed":{len(failed)},"first_counterexample":'
-          f'{next(_record_texts(check_id, failed), "null")},'
-          f'"pass":{"false" if failed else "true"},"records":[')
-    _write_chunks(write, _record_texts(check_id, report.records), ",")
-    write(f'],"statement":{_string_text(report.statement)},"total":{len(report.records)}}}')
-
-
-def _csv_lines(report: verify.VerificationReport) -> Iterator[str]:
-    # The bytes csv.writer gives: the params text always holds a '"', so it is
-    # quoted with each '"' doubled; no check id, integer or bool needs quoting.
-    for params, lhs, rhs in report.records:
-        params = _params_text(params).replace('"', '""')
-        yield f'{report.check_id},"{params}",{lhs},{rhs},{"true" if lhs == rhs else "false"}\n'
+    check_id, records = _string_text(report.check_id), report.records
+    first = "null" if not records.failed else next(compress(
+        chain.from_iterable(_record_texts(check_id, records.rows)),
+        chain.from_iterable(map(ne, row.lhs, row.rhs) for row in records.rows)))
+    write(f'{lead}{{"check_id":{check_id},"failed":{records.failed},"first_counterexample":'
+          f'{first},"pass":{"false" if records.failed else "true"},"records":[')
+    _write_chunks(write, chain.from_iterable(_record_texts(check_id, records.rows)), ",")
+    write(f'],"statement":{_string_text(report.statement)},"total":{len(records)}}}')
 
 
 def _write_chunks(write: Callable[[str], object], texts: Iterator[str], sep: str) -> None:
@@ -297,10 +301,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # Each report leaves as soon as it is made, CSV to stdout and JSON to a
     # spool that is copied out after the last check, as the top-level "pass"
-    # sorts before "reports": no more than one chunk of record texts is held.
+    # sorts before "reports": no more than one chunk of record texts is held,
+    # as the spool hands each on to a 512-byte buffer and is copied in 8 KiB.
     if args.format == "json":
-        import shutil, tempfile
-        spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+        import io, shutil, tempfile
+        spool = io.TextIOWrapper(tempfile.TemporaryFile(buffering=512), "utf-8", write_through=True)
     else:
         from contextlib import nullcontext
         spool = nullcontext(sys.stdout)
@@ -319,12 +324,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if args.format == "json":
                 _write_report(out.write, report, "," if index else "")
             else:
-                _write_chunks(out.write, _csv_lines(report), "")
+                texts = _record_texts(check.check_id, report.records.rows, csv=True)
+                _write_chunks(out.write, chain.from_iterable(texts), "")
             del report  # before the next check builds its own
         if args.format == "json":
             sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')
             out.seek(0)
-            shutil.copyfileobj(out, sys.stdout)
+            shutil.copyfileobj(out, sys.stdout, 8192)
             sys.stdout.write("]}\n")
     return 0 if all_passed else 1
 

@@ -11,7 +11,9 @@ to the end of the block of 128 that holds the n asked for.  Growing it
 sums, one block at a time, the slices of the shared p table that line up
 with the new entries, in C, with the kernel that the p and q recurrences
 use, ``partitions._slice_sums``; a call that hits costs a dict lookup and
-an index.  There is one row per stream and parameter (M is keyed by |m|,
+an index.  :func:`count_row` gives the entries of one range of n as one
+slice of the same row, grown the same way; the ``verify`` legs read their
+counts so.  There is one row per stream and parameter (M is keyed by |m|,
 and Ewell's two sums share one row), held for the life of the process like
 the p table: at most (rows used) x (largest n asked, rounded up to 128)
 entries.  The default ``verify`` grows 40 rows, 19,712 entries in all,
@@ -62,18 +64,22 @@ def triangular(k: int) -> int:
 _ROWS: dict[tuple[str, int | None], list[int]] = {}
 
 
-def _row_entry(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
-               n: int) -> int:
-    # Entry n of the row of key, whose terms are stream(key[1]); a miss grows
-    # the row to the end of the block that holds n.
-    if n < 0:
-        return 0
+def _row(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
+         n: int) -> list[int]:
+    # The row of key, whose terms are stream(key[1]), holding entry n: a
+    # miss grows it to the end of the block that holds n.
     row = _ROWS.get(key)
     if row is None:
         row = _ROWS[key] = []
     if n >= len(row):
         _extend(row, stream(key[1]), n | (_BLOCK - 1))
-    return row[n]
+    return row
+
+
+def _row_entry(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
+               n: int) -> int:
+    # Entry n of the row of key; 0 below n = 0.
+    return _row(key, stream, n)[n] if n >= 0 else 0
 
 
 def _extend(row: list[int], terms: Terms, limit: int) -> None:
@@ -132,6 +138,7 @@ STREAMS: dict[str, tuple[str | None, int | None, Callable[[int | None], Terms]]]
 # The two streams that are not table rows; their keys in _ROWS are private.
 _CRANK_ZERO = ("crank_zero", None), lambda _: _triangular_terms(1, (2, -2))
 _EWELL = ("ewell", None), lambda _: _triangular_terms(1, (1, -1, -1, 1))
+_PRIVATE_STREAMS = dict((_CRANK_ZERO, _EWELL))
 
 
 def _stream(fn: str, param: int | None) -> Callable[[int | None], Terms]:
@@ -145,6 +152,24 @@ def _stream(fn: str, param: int | None) -> Callable[[int | None], Terms]:
 def _count(fn: str, param: int | None, n: int) -> int:
     # Entry n of the fn row at param; param is checked on every call.
     return _row_entry((fn, param), _stream(fn, param), n)
+
+
+def count_row(fn: str, param: int | None, ns: range) -> list[int]:
+    """The entries at every n of ns of the cached row that the count
+    functions read, as one list: fn is a ``STREAMS`` key, whose parameter is
+    checked as :func:`table_row` checks it, or ``"crank_zero"`` for
+    :func:`crank_zero_expansion` or ``"ewell"`` for Ewell's sums, whose
+    entry 2k is the even sum at k and 2k + 1 the odd one.  The row is keyed
+    by (fn, param), so M at m and at -m, equal, are two rows here, where
+    :func:`crank_count` reads one.  ns is an increasing range of n >= 0.
+    """
+    if ns.step < 0 or (ns and ns[0] < 0):
+        raise ValueError(f"count_row takes increasing n >= 0, got {ns}")
+    key = (fn, param)
+    stream = _PRIVATE_STREAMS[key] if key in _PRIVATE_STREAMS else _stream(fn, param)
+    if not ns:
+        return []
+    return _row(key, stream, ns[-1])[ns.start:ns.stop:ns.step]
 
 
 def table_row(fn: str, param: int | None, n_max: int) -> list[int]:

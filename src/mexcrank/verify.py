@@ -7,11 +7,17 @@ closed form or a series coefficient.  A check is a tuple of legs, each a grid
 with its own pair of computations; a check with several legs (say,
 enumeration against the formula for small n, then series against the formula
 for large n) stamps each leg's name into its points as ``"side"``, and its
-records follow the legs in order.  A check's points exist only while it runs,
-so unselected checks cost nothing.  Module discipline keeps the sides honest:
-oracle code in this file touches only :mod:`mexcrank.partitions`; the
-formula modules (:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are
-imported inside :func:`registry` so that neither side can lean on the other.
+records follow the legs in order.  A leg's grid is a few rows, one per
+parameter value, each a range of n, and each side gives its values over a
+whole row at once as a slice of a cached row: a ``counting`` row, a series'
+coefficients or the statistics records.  :func:`run_check` keeps those rows
+and counts the failures from them; the records, each with its point's
+params dict, are made only when asked for, and the command line renders the
+rows without them.  A check's rows exist only while it runs, so unselected
+checks cost nothing.  Module discipline keeps the sides honest: oracle code
+in this file touches only :mod:`mexcrank.partitions`; the formula modules
+(:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are imported inside
+:func:`registry` so that neither side can lean on the other.
 
 Every oracle except :func:`oracle_count` reads one
 :class:`~mexcrank.partitions.PartitionStatistics` record per n.  A miss
@@ -20,10 +26,10 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.154-0.159 s
-(quartiles of 21 runs) and 18.7 MB max-RSS at the default budget 35, as CSV
-does, and 0.22 s and 16 MB at ``--n-max 45 --budget 45`` (2 CPUs,
-Python 3.11.7, no bytecode cache; ``python -c pass`` takes 25 ms).
+Cold ``mexcrank verify --all --format json`` takes 0.178-0.182 s
+(quartiles of 11 runs) and 16.9 MB max-RSS at the default budget 35, on a
+busy host where it took 0.221-0.235 s and 18.5 MB while the legs were
+evaluated point by point (2 CPUs, Python 3.11.7, no bytecode cache).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.
@@ -35,9 +41,10 @@ n = 1 values on both sides, so the discrepancy is asserted, never skipped.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
+from operator import add, gt, ne, sub
 
 from . import _Value
 from .partitions import (
@@ -51,6 +58,9 @@ from .partitions import (
 DEFAULT_BUDGET = 35
 
 Params = Mapping[str, int | str]
+
+# A side of a leg: its values over a range of n at one parameter value.
+Side = Callable[[object, range], Sequence[int]]
 
 
 class BudgetExceededError(RuntimeError):
@@ -81,6 +91,21 @@ def _statistics(n: int, budget: int) -> PartitionStatistics:
     if n >= len(_STATISTICS):
         _STATISTICS = partition_statistics_table(budget)
     return _STATISTICS[n]
+
+
+def _statistics_row(ns: range, budget: int) -> Sequence[PartitionStatistics]:
+    # The records of every n of ns, an increasing range, through the checks
+    # and the sweep of _statistics at its two ends.
+    if not ns:
+        return ()
+    _statistics(ns[0], budget)
+    _statistics(ns[-1], budget)
+    return _STATISTICS[ns.start:ns.stop:ns.step]
+
+
+def _cut(values: Sequence, ns: range, shift: int = 0) -> Sequence:
+    # values[n - shift] for every n of ns, as one slice.
+    return values[ns.start - shift:ns.stop - shift:ns.step]
 
 
 def oracle_count(n: int, predicate: Callable[[Partition], bool], *, budget: int = DEFAULT_BUDGET) -> int:
@@ -134,28 +159,37 @@ def frobenius_top_avoids_oracle(n: int, j: int, *, budget: int = DEFAULT_BUDGET)
     return stats.count - stats.top_entry.get(j, 0)
 
 
-class Leg(namedtuple("Leg", "side points lhs rhs")):
-    """Two computations compared at each of their own grid points, in order.
+class Leg(namedtuple("Leg", "side param values key ranges lhs rhs")):
+    """Two computations compared over the rows of a grid, row by row.
 
-    ``points()`` makes the leg's points afresh; ``lhs`` and ``rhs`` map one
-    point to an integer each.  ``side`` names the leg within its check, or is
-    None for a check of one leg; :attr:`grid` stamps it into every point as
-    ``"side"``, so each record says which leg produced it.
+    Row i sets the parameter named ``param`` to ``values[i]`` and runs n,
+    named ``key`` (``"n"``, ``"k"`` or ``"w"``), over ``ranges[i]``; a leg
+    with no parameter has ``param`` None and the one value None.
+    ``lhs(value, ns)`` and ``rhs(value, ns)`` give their side's values over
+    a range ns of n, one per n, in order.  ``side`` names the leg within its
+    check, or is None for a check of one leg; every point of the leg holds it
+    as ``"side"``, so each record says which leg produced it.
     """
 
     __slots__ = ()
 
+    def points(self, value: object, ns: range) -> Iterator[Params]:
+        """The points of the row at value over ns: side, parameter and n."""
+        head: dict[str, object] = {} if self.side is None else {"side": self.side}
+        if self.param is not None:
+            head[self.param] = value
+        key = self.key
+        return ({**head, key: n} for n in ns)
+
     @property
     def grid(self) -> Iterable[Params]:
-        if self.side is None:
-            return self.points()
-        return ({"side": self.side, **point} for point in self.points())
+        return chain.from_iterable(map(self.points, self.values, self.ranges))
 
 
 class IdentityCheck(_Value):
     """A named claim: two computations that must agree exactly.
 
-    ``legs`` are evaluated in order; each fixes its grid points and the two
+    ``legs`` are evaluated in order; each fixes its grid rows and the two
     callables compared on them.  The oracle side never imports a formula
     module.  Beyond the series plumbing, the legs whose two callables share
     code are the allowlist of ``tests/test_independence.py``, which audits
@@ -204,27 +238,94 @@ class CheckRecord(namedtuple("CheckRecord", "params lhs rhs")):
         }
 
 
+# One row of a leg as run: the leg, its parameter value, the range of n and
+# the two sides' values over it.
+Row = namedtuple("Row", "leg value ns lhs rhs")
+
+
+class Rows(Sequence):
+    """The records of a report kept as the rows that made them, one
+    :class:`Row` per leg and parameter value.  ``failed`` counts the
+    records whose two sides differ; the :class:`CheckRecord` of each point,
+    with its params dict, is made only when a record is asked for, and then
+    kept.  Equal to a sequence of equal records, and pickled as a tuple."""
+
+    __slots__ = ("rows", "failed", "_total", "_records")
+
+    def __init__(self, rows: Iterable[Row]) -> None:
+        self.rows = tuple(rows)
+        for row in self.rows:
+            if not len(row.lhs) == len(row.rhs) == len(row.ns):
+                raise ValueError(f"a row of side {row.leg.side!r} at {row.value!r} gives "
+                                 f"{len(row.lhs)} and {len(row.rhs)} values for {len(row.ns)} n")
+        self.failed = sum(sum(map(ne, row.lhs, row.rhs)) for row in self.rows)
+        self._total = sum(len(row.ns) for row in self.rows)
+        self._records: tuple[CheckRecord, ...] | None = None
+
+    def _made(self) -> tuple[CheckRecord, ...]:
+        # tuple.__new__ runs no Python frame where CheckRecord(...) runs
+        # namedtuple's __new__.
+        if self._records is None:
+            self._records = tuple(chain.from_iterable(
+                map(tuple.__new__, repeat(CheckRecord),
+                    zip(row.leg.points(row.value, row.ns), row.lhs, row.rhs))
+                for row in self.rows))
+        return self._records
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __getitem__(self, index):
+        return self._made()[index]
+
+    def __iter__(self) -> Iterator[CheckRecord]:
+        return iter(self._made())
+
+    def __eq__(self, other: object) -> bool:
+        return self._made() == (other._made() if isinstance(other, Rows) else other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._made())
+
+    def __reduce__(self):
+        return tuple, (self._made(),)
+
+
 class VerificationReport(_Value):
     """Deterministic per-point results for one check, in grid order.
-    Immutable; equal to a report with equal fields, so two runs of one
-    check give equal reports, and unhashable, as its records hold dicts."""
+    ``records`` is a sequence of :class:`CheckRecord`; :func:`run_check`
+    gives it as :class:`Rows`.  Immutable; equal to a report with equal
+    fields, so two runs of one check give equal reports, and unhashable, as
+    its records hold dicts."""
 
     __slots__ = ("check_id", "statement", "records")
     check_id: str
     statement: str
-    records: tuple[CheckRecord, ...]
+    records: Sequence[CheckRecord]
 
     def __init__(self, check_id: str, statement: str,
-                 records: tuple[CheckRecord, ...]) -> None:
+                 records: Sequence[CheckRecord]) -> None:
         self._init(check_id, statement, records)
 
     @property
+    def failed(self) -> int:
+        """The number of records whose two sides differ."""
+        records = self.records
+        if type(records) is Rows:
+            return records.failed
+        return sum(not record.passed for record in records)
+
+    @property
     def passed(self) -> bool:
-        return self.first_counterexample is None
+        return not self.failed
 
     @property
     def first_counterexample(self) -> CheckRecord | None:
-        return next((record for record in self.records if not record.passed), None)
+        if self.passed:
+            return None
+        return next(record for record in self.records if not record.passed)
 
     def to_jsonable(self) -> dict:
         counterexample = self.first_counterexample
@@ -233,7 +334,7 @@ class VerificationReport(_Value):
             "statement": self.statement,
             "pass": counterexample is None,
             "total": len(self.records),
-            "failed": sum(not record.passed for record in self.records),
+            "failed": self.failed,
             "first_counterexample": (
                 None if counterexample is None else counterexample.to_jsonable(self.check_id)
             ),
@@ -242,27 +343,19 @@ class VerificationReport(_Value):
 
 
 def _require_points(check: IdentityCheck) -> None:
-    # One point per leg is enough to tell an empty grid, and costs no lhs/rhs.
-    if all(next(iter(leg.grid), None) is None for leg in check.legs):
+    # A range's length is known without making a point or calling a side.
+    if not any(ns for leg in check.legs for ns in leg.ranges):
         raise ValueError(f"check {check.check_id} has an empty parameter grid")
 
 
 def run_check(check: IdentityCheck) -> VerificationReport:
-    """Evaluate both sides at every grid point, leg by leg; exact equality
-    everywhere.  Records come back in grid order; a check with no point in
-    any leg raises ValueError before anything is evaluated."""
+    """Evaluate both sides over every row of every leg, in order; exact
+    equality everywhere.  Records come back in grid order; a check with no
+    point in any leg raises ValueError before anything is evaluated."""
     _require_points(check)
-    return VerificationReport(check.check_id, check.statement,
-                              tuple(chain.from_iterable(map(_leg_records, check.legs))))
-
-
-def _leg_records(leg: Leg) -> Iterator[CheckRecord]:
-    # The records of one leg, made in C: zip keeps the three copies of the
-    # grid in step, so tee holds at most one point, and tuple.__new__ runs
-    # no Python frame where CheckRecord(...) runs namedtuple's __new__.
-    points, lhs_points, rhs_points = tee(leg.grid, 3)
-    return map(tuple.__new__, repeat(CheckRecord),
-               zip(points, map(leg.lhs, lhs_points), map(leg.rhs, rhs_points)))
+    return VerificationReport(check.check_id, check.statement, Rows(
+        Row(leg, value, ns, leg.lhs(value, ns), leg.rhs(value, ns))
+        for leg in check.legs for value, ns in zip(leg.values, leg.ranges) if ns))
 
 
 def perturbed(check: IdentityCheck, where: Params, delta: int = 1) -> IdentityCheck:
@@ -270,14 +363,17 @@ def perturbed(check: IdentityCheck, where: Params, delta: int = 1) -> IdentityCh
     matches every key in ``where``.  Harness self-test: the perturbed check
     must fail with a counterexample at exactly those points."""
 
-    def shifted(rhs: Callable[[Params], int]) -> Callable[[Params], int]:
-        return lambda point: rhs(point) + delta * all(
-            point.get(key) == expected for key, expected in where.items())
+    def shifted(leg: Leg) -> Leg:
+        def rhs(value: object, ns: range) -> list[int]:
+            return [entry + delta * all(point.get(key) == expected
+                                        for key, expected in where.items())
+                    for entry, point in zip(leg.rhs(value, ns), leg.points(value, ns))]
+        return leg._replace(rhs=rhs)
 
     return IdentityCheck(
         check_id=f"{check.check_id}:perturbed",
         statement=check.statement,
-        legs=tuple(leg._replace(rhs=shifted(leg.rhs)) for leg in check.legs),
+        legs=tuple(map(shifted, check.legs)),
     )
 
 
@@ -309,7 +405,7 @@ def registry(
     # One GfKind and one build per distinct series; qseries.gf and GfKind
     # are read at call time, so a wrapper bound to either sees every build.
     @lru_cache(maxsize=None)
-    def series(order: int, tag: str, param: int | None = None) -> qseries.TruncatedSeries:
+    def series(order: int, tag: str, param: int | None) -> qseries.TruncatedSeries:
         return qseries.gf(qseries.GfKind(tag, param), order)
 
     def span(default: int) -> int:
@@ -322,56 +418,78 @@ def registry(
     series_top = order if order is not None else span(200)
     o13_top, crank_top, mexres_top = span(400), span(300), span(2000)
 
-    def crank_geq_formula(p: Params) -> int:
-        return counting.crank_geq_count(p["j"], p["n"])
+    # Each side gives its values over ns as one slice of a cached row: a
+    # counting row (row), a series' coefficients (coeffs), or the
+    # statistics records (stats), read by one comprehension.
+    row = counting.count_row
 
-    def crank_geq_enumerated(p: Params) -> int:
-        return crank_geq_oracle(p["n"], p["j"], budget=reach)
+    def coeffs(ns: range, order: int, tag: str, param: int | None = None,
+               shift: int = 0) -> Sequence[int]:
+        return _cut(series(order, tag, param).coeffs, ns, shift)
 
-    def crank_formula(p: Params) -> int:
-        return counting.crank_count(p["m"], p["n"])
+    def stats(ns: range) -> Sequence[PartitionStatistics]:
+        return _statistics_row(ns, reach)
 
-    def crank_enumerated(p: Params) -> int:
-        return crank_value_oracle(p["n"], p["m"], budget=reach)
+    def plain_leg(side: str | None, ns: range, lhs: Side, rhs: Side, key: str = "n") -> Leg:
+        return Leg(side, None, (None,), key, (ns,), lhs, rhs)
 
-    def crank_zero_formula(p: Params) -> int:
-        return counting.crank_count(0, p["n"])
+    def param_leg(side: str | None, param: str, values: range, ns: range, lhs: Side,
+                  rhs: Side, key: str = "n") -> Leg:
+        # A leg whose parameter takes each of values over one range of n.
+        return Leg(side, param, tuple(values), key, (ns,) * len(values), lhs, rhs)
 
-    def frob_no0_series(p: Params) -> int:
-        return series(series_top, "frob_no0")[p["n"]]
+    def crank_geq_formula(j: int, ns: range) -> list[int]:
+        return row("crank_geq", j, ns)
 
-    def frob_no0_step(p: Params) -> int:
+    def crank_geq_enumerated(j: int, ns: range) -> list[int]:
+        return [sum(count for value, count in s.crank.items() if value >= j) for s in stats(ns)]
+
+    def crank_formula(m: int, ns: range) -> list[int]:
+        return row("M", abs(m), ns)  # M(m, n) is M(-m, n): one row for both
+
+    def crank_enumerated(m: int, ns: range) -> list[int]:
+        return [s.crank.get(m, 0) for s in stats(ns)]
+
+    def crank_zero_formula(_: None, ns: range) -> list[int]:
+        return row("M", 0, ns)
+
+    def mex_residues(ns: range, residue: int, modulus: int) -> list[int]:
+        return [sum(count for value, count in s.mex.items() if value % modulus == residue)
+                for s in stats(ns)]
+
+    def frob_no0_series(_: None, ns: range) -> Sequence[int]:
+        return coeffs(ns, series_top, "frob_no0")
+
+    def frob_no0_step(_: None, ns: range) -> list[int]:
         # Coefficient n of (1 - q) times the zero-free Frobenius series.
-        frob, n = series(series_top, "frob_no0"), p["n"]
-        return frob[n] - (frob[n - 1] if n else 0)
+        frob = series(series_top, "frob_no0", None).coeffs
+        return list(map(sub, _cut(frob, ns), _cut((0, *frob), ns)))
 
     def pinned_n1(side: str, param: str, values: Mapping[int, tuple[int, int]],
-                  formula: Callable[[Params], int],
-                  oracle: Callable[[Params], int]) -> tuple[Leg, ...]:
+                  formula: Side, oracle: Side) -> tuple[Leg, ...]:
         # Per parameter value, the formula then the enumeration at n = 1,
         # each against its documented constant; like every enumeration
         # grid, the enumeration is capped by the budget.
         sides = (side, "n1_oracle") if budget >= 1 else (side,)
         return tuple(
-            Leg(leg_side, lambda value=value: ({param: value, "n": 1},),
-                lhs, lambda p, pinned=pinned: pinned)
+            Leg(leg_side, param, (value,), "n", (range(1, 2),), lhs,
+                lambda _, ns, pinned=pinned: [pinned] * len(ns))
             for value, pair in values.items()
             for leg_side, lhs, pinned in zip(sides, (formula, oracle), pair)
         )
 
-    def o13_rhs(p: Params) -> int:
-        return distinct_parts_count(p["n"] // 2) if p["n"] % 2 == 0 else 0
+    def o13_rhs(_: None, ns: range) -> list[int]:
+        return [distinct_parts_count(n // 2) if n % 2 == 0 else 0 for n in ns]
 
-    def mex_class_leg(stream: str, count: Callable[[int], int], residue: int,
-                      modulus: int) -> Leg:
+    def mex_class_leg(stream: str, residue: int, modulus: int) -> Leg:
         # The count of partitions whose mex is residue mod modulus, by its
         # counting stream against the enumeration.
-        return Leg(f"{stream}_oracle", lambda: ({"n": n} for n in range(top + 1)),
-                   lambda p: mex_residue_oracle(p["n"], residue, modulus, budget=reach),
-                   lambda p: count(p["n"]))
+        return plain_leg(f"{stream}_oracle", range(top + 1),
+                         lambda _, ns: mex_residues(ns, residue, modulus),
+                         lambda _, ns: row(stream, None, ns))
 
-    def no0_top_series(p: Params) -> int:
-        return series(mexres_top, "frob_noj_top", 0)[p["n"]]
+    def no0_top_series(_: None, ns: range) -> Sequence[int]:
+        return coeffs(ns, mexres_top, "frob_noj_top", 0)
 
     return (
         IdentityCheck("THM_JCRANK", (
@@ -380,11 +498,11 @@ def registry(
             "having crank at least j; the enumeration crank agrees from n = 2 on, "
             "with the n = 1 values pinned explicitly."
         ), (
-            Leg("mex_oracle", lambda: ({"j": j, "n": n} for j in range(11) for n in range(top + 1)),
-                lambda p: mex_above_odd_oracle(p["n"], p["j"], budget=reach),
-                crank_geq_formula),
-            Leg("crank_oracle", lambda: ({"j": j, "n": n} for j in range(11) for n in range(2, top + 1)),
-                crank_geq_enumerated, crank_geq_formula),
+            param_leg("mex_oracle", "j", range(11), range(top + 1),
+                      lambda j, ns: [s.odd_gap_above.get(j, 0) for s in stats(ns)],
+                      crank_geq_formula),
+            param_leg("crank_oracle", "j", range(11), range(2, top + 1),
+                      crank_geq_enumerated, crank_geq_formula),
             *pinned_n1("n1_series", "j", _N1_CRANK_GEQ, crank_geq_formula, crank_geq_enumerated),
         )),
         IdentityCheck("COR_CRANKRECUR", (
@@ -392,123 +510,119 @@ def registry(
             "counts partitions of n with crank m, matching enumeration for n >= 2 and "
             "the crank series coefficients everywhere, with the n = 1 values pinned."
         ), (
-            Leg("oracle", lambda: ({"m": m, "n": n} for m in range(-12, 13) for n in range(2, top + 1)),
-                crank_enumerated, crank_formula),
-            Leg("series", lambda: ({"m": m, "n": n} for m in range(13) for n in range(series_top + 1)),
-                lambda p: series(series_top, "crank_m", p["m"])[p["n"]],
-                crank_formula),
+            param_leg("oracle", "m", range(-12, 13), range(2, top + 1),
+                      crank_enumerated, crank_formula),
+            param_leg("series", "m", range(13), range(series_top + 1),
+                      lambda m, ns: coeffs(ns, series_top, "crank_m", m), crank_formula),
             *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula, crank_enumerated),
         )),
         IdentityCheck("PROP_MEXFORM", (
             "Partitions of n with mex exactly m number p(n - t(m-1)) - p(n - t(m))."
         ), (
-            Leg(None, lambda: ({"m": m, "n": n} for m in range(1, 11) for n in range(top + 1)),
-                lambda p: mex_value_oracle(p["n"], p["m"], budget=reach),
-                lambda p: counting.mex_count(p["m"], p["n"])),
+            param_leg(None, "m", range(1, 11), range(top + 1),
+                      lambda m, ns: [s.mex.get(m, 0) for s in stats(ns)],
+                      lambda m, ns: row("x_mex", m, ns)),
         )),
         IdentityCheck("COR_0CRANK", (
             "The crank-zero count equals p(n) + 2 sum_k (-1)^k p(n - t(k)), with "
             "head values 1, -1, 0, 1, 1, 1 and enumeration agreement from n = 2."
         ), (
-            Leg("expansion", lambda: ({"n": n} for n in range(span(300) + 1)),
-                lambda p: counting.crank_zero_expansion(p["n"]), crank_zero_formula),
-            Leg("documented", lambda: ({"n": n} for n in range(len(_CRANK0_HEAD))),
-                lambda p: counting.crank_zero_expansion(p["n"]),
-                lambda p: _CRANK0_HEAD[p["n"]]),
-            Leg("oracle", lambda: ({"n": n} for n in range(2, top + 1)),
-                lambda p: crank_value_oracle(p["n"], 0, budget=reach), crank_zero_formula),
+            plain_leg("expansion", range(span(300) + 1),
+                      lambda _, ns: row("crank_zero", None, ns), crank_zero_formula),
+            plain_leg("documented", range(len(_CRANK0_HEAD)),
+                      lambda _, ns: row("crank_zero", None, ns),
+                      lambda _, ns: _cut(_CRANK0_HEAD, ns)),
+            plain_leg("oracle", range(2, top + 1),
+                      lambda _, ns: crank_enumerated(0, ns), crank_zero_formula),
         )),
         IdentityCheck("PROP_NOF0", (
             "The crank-zero count M(0,n) equals F(n) - F(n-1), where F counts "
             "partitions whose Frobenius symbol avoids 0 in both rows; in "
             "particular M(0,1) = -1 = F(1) - F(0)."
         ), (
-            Leg("series", lambda: ({"n": n} for n in range(series_top + 1)),
-                frob_no0_step, crank_zero_formula),
-            Leg("oracle", lambda: ({"n": n} for n in range(min(top, series_top) + 1)),
-                lambda p: frobenius_no0_oracle(p["n"], budget=reach), frob_no0_series),
+            plain_leg("series", range(series_top + 1), frob_no0_step, crank_zero_formula),
+            plain_leg("oracle", range(min(top, series_top) + 1),
+                      lambda _, ns: [s.zero_free for s in stats(ns)], frob_no0_series),
         )),
         IdentityCheck("THM_FROB_J", (
             "Partitions of n with crank at least j are equinumerous with "
             "partitions of n - j whose Frobenius symbol has no j in its top row."
         ), (
-            Leg("series",
-                lambda: ({"j": j, "n": n} for j in range(9) for n in range(j, series_top + 1)),
-                lambda p: series(series_top, "frob_noj_top", p["j"])[p["n"] - p["j"]],
+            Leg("series", "j", tuple(range(9)), "n",
+                tuple(range(j, series_top + 1) for j in range(9)),
+                lambda j, ns: coeffs(ns, series_top, "frob_noj_top", j, shift=j),
                 crank_geq_formula),
-            Leg("oracle",
-                lambda: ({"j": j, "w": w} for j in range(9) for w in range(min(top, series_top) + 1)),
-                lambda p: frobenius_top_avoids_oracle(p["w"], p["j"], budget=reach),
-                lambda p: series(series_top, "frob_noj_top", p["j"])[p["w"]]),
+            param_leg("oracle", "j", range(9), range(min(top, series_top) + 1),
+                      lambda j, ns: [s.count - s.top_entry.get(j, 0) for s in stats(ns)],
+                      lambda j, ns: coeffs(ns, series_top, "frob_noj_top", j), key="w"),
         )),
         IdentityCheck("PROP_O13", (
             "Among partitions of n, those with mex = 1 mod 4 outnumber those "
             "with mex = 3 mod 4 by q(n/2) for even n and 0 for odd n."
         ), (
-            Leg("formula", lambda: ({"n": n} for n in range(1, o13_top + 1)),
-                lambda p: counting.mex_1mod4_count(p["n"]) - counting.mex_3mod4_count(p["n"]),
-                o13_rhs),
-            Leg("oracle", lambda: ({"n": n} for n in range(1, min(top, o13_top) + 1)),
-                lambda p: (mex_residue_oracle(p["n"], 1, 4, budget=reach)
-                           - mex_residue_oracle(p["n"], 3, 4, budget=reach)),
-                o13_rhs),
+            plain_leg("formula", range(1, o13_top + 1),
+                      lambda _, ns: list(map(sub, row("o1", None, ns), row("o3", None, ns))),
+                      o13_rhs),
+            plain_leg("oracle", range(1, min(top, o13_top) + 1),
+                      lambda _, ns: list(map(sub, mex_residues(ns, 1, 4), mex_residues(ns, 3, 4))),
+                      o13_rhs),
         )),
         IdentityCheck("EWELL_EVEN", (
             "Ewell's identity at even arguments: sum_j (-1)^(t(j)) p(2k - t(j)) "
             "equals the distinct-parts count q(k)."
         ), (
-            Leg(None, lambda: ({"k": k} for k in range(span(300) + 1)),
-                lambda p: counting.ewell_even_sum(p["k"]),
-                lambda p: distinct_parts_count(p["k"])),
+            plain_leg(None, range(span(300) + 1),
+                      lambda _, ks: row("ewell", None, range(2 * ks.start, 2 * ks.stop, 2 * ks.step)),
+                      lambda _, ks: list(map(distinct_parts_count, ks)), key="k"),
         )),
         IdentityCheck("EWELL_ODD", (
             "Ewell's identity at odd arguments: sum_j (-1)^(t(j)) p(2k + 1 - t(j)) "
             "vanishes for every k."
         ), (
-            Leg(None, lambda: ({"k": k} for k in range(span(300) + 1)),
-                lambda p: counting.ewell_odd_sum(p["k"]), lambda p: 0),
+            plain_leg(None, range(span(300) + 1),
+                      lambda _, ks: row("ewell", None,
+                                        range(2 * ks.start + 1, 2 * ks.stop + 1, 2 * ks.step)),
+                      lambda _, ks: [0] * len(ks), key="k"),
         )),
         IdentityCheck("THM_AN_PARITY", (
             "The odd-mex partition count o(n) is odd exactly when "
             "n = j(3j+1) or n = j(3j-1) (Andrews-Newman parity)."
         ), (
-            Leg(None, lambda: ({"n": n} for n in range(1, span(2000) + 1)),
-                lambda p: counting.odd_mex_count(p["n"]) % 2,
-                lambda p: 1 if counting.is_double_pentagonal(p["n"]) else 0),
+            plain_leg(None, range(1, span(2000) + 1),
+                      lambda _, ns: [o % 2 for o in row("o", None, ns)],
+                      lambda _, ns: list(map(int, map(counting.is_double_pentagonal, ns)))),
         )),
         IdentityCheck("INEQ_OE", (
             "Odd-mex partitions strictly outnumber even-mex partitions of n "
             "for every n > 2 (Hopkins-Sellers inequality)."
         ), (
-            Leg(None, lambda: ({"n": n} for n in range(3, span(1000) + 1)),
-                lambda p: 1 if counting.odd_mex_count(p["n"]) > counting.even_mex_count(p["n"]) else 0,
-                lambda p: 1),
+            plain_leg(None, range(3, span(1000) + 1),
+                      lambda _, ns: list(map(int, map(gt, row("o", None, ns), row("e", None, ns)))),
+                      lambda _, ns: [1] * len(ns)),
         )),
         IdentityCheck("SERIES_HEINE", (
             "Heine transformation instance: (1 - q) times the zero-free "
             "Frobenius series equals the q-Pochhammer product times "
             "sum_k q^(2k) / (q;q)_k^2, coefficient by coefficient."
         ), (
-            Leg(None, lambda: ({"n": n} for n in range(series_top + 1)),
-                frob_no0_step,
-                lambda p: series(series_top, "crank0_alt")[p["n"]]),
+            plain_leg(None, range(series_top + 1), frob_no0_step,
+                      lambda _, ns: coeffs(ns, series_top, "crank0_alt")),
         )),
         IdentityCheck("DURFEE_RECT", (
             "Classifying partitions by their largest s x (s+b) Durfee "
             "rectangle reproduces the partition generating function for "
             "every offset b."
         ), (
-            Leg(None, lambda: ({"b": b, "n": n} for b in range(11) for n in range(series_top + 1)),
-                lambda p: series(series_top, "durfee_rect_b", p["b"])[p["n"]],
-                lambda p: series(series_top, "euler_inv")[p["n"]]),
+            param_leg(None, "b", range(11), range(series_top + 1),
+                      lambda b, ns: coeffs(ns, series_top, "durfee_rect_b", b),
+                      lambda _, ns: coeffs(ns, series_top, "euler_inv")),
         )),
         IdentityCheck("CRANK_GF_CONSISTENCY", (
             "Coefficients of the crank generating function at parameter m "
             "equal the closed-form crank counts M(m,n)."
         ), (
-            Leg(None, lambda: ({"m": m, "n": n} for m in range(13) for n in range(crank_top + 1)),
-                lambda p: series(crank_top, "crank_m", p["m"])[p["n"]],
-                crank_formula),
+            param_leg(None, "m", range(13), range(crank_top + 1),
+                      lambda m, ns: coeffs(ns, crank_top, "crank_m", m), crank_formula),
         )),
         IdentityCheck("PROP_MEXRES", (
             "The counts o(n), e(n), o1(n) and o3(n) of partitions of n with mex odd, "
@@ -517,25 +631,24 @@ def registry(
             "mex, crank at least 0 and no 0 there are equinumerous; e(n) + o(n) "
             "is p(n); and o(n) - e(n) is the crank-zero count M(0,n)."
         ), (
-            mex_class_leg("o", counting.odd_mex_count, 1, 2),
-            mex_class_leg("e", counting.even_mex_count, 0, 2),
-            mex_class_leg("o1", counting.mex_1mod4_count, 1, 4),
-            mex_class_leg("o3", counting.mex_3mod4_count, 3, 4),
-            Leg("o_series", lambda: ({"n": n} for n in range(mexres_top + 1)),
-                no0_top_series, lambda p: counting.odd_mex_count(p["n"])),
+            mex_class_leg("o", 1, 2),
+            mex_class_leg("e", 0, 2),
+            mex_class_leg("o1", 1, 4),
+            mex_class_leg("o3", 3, 4),
+            plain_leg("o_series", range(mexres_top + 1), no0_top_series,
+                      lambda _, ns: row("o", None, ns)),
             # o1 + o3 is the combination of p values that o is, so this leg
             # adds to o_series only the spelling of the o1 and o3 streams.
             # o - e and M(0, n) are one combination too: oe_crank0 catches a
             # misspelled stream, not a fault of the p table.
-            Leg("o13_series", lambda: ({"n": n} for n in range(mexres_top + 1)),
-                no0_top_series,
-                lambda p: counting.mex_1mod4_count(p["n"]) + counting.mex_3mod4_count(p["n"])),
-            Leg("oe_partitions", lambda: ({"n": n} for n in range(series_top + 1)),
-                lambda p: series(series_top, "euler_inv")[p["n"]],
-                lambda p: counting.even_mex_count(p["n"]) + counting.odd_mex_count(p["n"])),
-            Leg("oe_crank0", lambda: ({"n": n} for n in range(mexres_top + 1)),
-                lambda p: counting.odd_mex_count(p["n"]) - counting.even_mex_count(p["n"]),
-                crank_zero_formula),
+            plain_leg("o13_series", range(mexres_top + 1), no0_top_series,
+                      lambda _, ns: list(map(add, row("o1", None, ns), row("o3", None, ns)))),
+            plain_leg("oe_partitions", range(series_top + 1),
+                      lambda _, ns: coeffs(ns, series_top, "euler_inv"),
+                      lambda _, ns: list(map(add, row("e", None, ns), row("o", None, ns)))),
+            plain_leg("oe_crank0", range(mexres_top + 1),
+                      lambda _, ns: list(map(sub, row("o", None, ns), row("e", None, ns))),
+                      crank_zero_formula),
         )),
     )
 

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -544,18 +545,30 @@ class TestVerify:
 
 
 class TestRenderer:
-    # verify writes each report from cached templates, not through a dict,
-    # _ROWS_PER_WRITE records a write; _canonical of the library's dict form
-    # is the oracle of every byte.
+    # verify writes each report a row at a time, through one template per
+    # row, not through a dict, _ROWS_PER_WRITE records a write; the
+    # library's dict form is the oracle of every byte: _canonical of it for
+    # JSON, and for CSV each record's check id, then csv.writer's row of its
+    # params text, lhs, rhs and pass.
     @staticmethod
     def assert_renders(report):
+        chunks = math.ceil(len(report.records) / cli._ROWS_PER_WRITE)
         writes = []
         cli._write_report(writes.append, report)
-        assert "".join(writes) == cli._canonical(report.to_jsonable())
-        # the head, each chunk of records and the tail
-        assert len(writes) == 2 + math.ceil(len(report.records) / cli._ROWS_PER_WRITE)
-        for record in report.records:
-            assert cli._params_text(record.params) == cli._canonical(dict(record.params))
+        payload = report.to_jsonable()
+        assert "".join(writes) == cli._canonical(payload)
+        assert len(writes) == 2 + chunks  # the head, each chunk of records and the tail
+        writes = []
+        texts = cli._record_texts(report.check_id, report.records.rows, csv=True)
+        cli._write_chunks(writes.append, chain.from_iterable(texts), "")
+        lines = io.StringIO()
+        for record in payload["records"]:
+            lines.write(record["check_id"] + ",")
+            csv.writer(lines, lineterminator="\n").writerow(
+                [cli._canonical(record["params"]), record["lhs"], record["rhs"],
+                 cli._canonical(record["pass"])])
+        assert "".join(writes) == lines.getvalue()
+        assert len(writes) == chunks
 
     @pytest.mark.parametrize("check_id", sorted(verify.checks_by_id(12, budget=12)))
     def test_every_check(self, check_id):
@@ -570,19 +583,24 @@ class TestRenderer:
         self.assert_renders(report)
 
     def test_escapes_and_other_value_types(self):
-        # Quotes, backslashes, newlines and non-ASCII text escape as json does;
-        # a bool is "true", not str(True), and a key may hold a brace.
-        odd = 'say "hi"\\\né'
-        points = ({"n": 2, "ok": True, "{k}": None, "x": 1.5, "s": odd},
-                  {"n": -3, "ok": False, "{k}": [1, "a"], "x": 10**30, "s": ""})
-        leg = verify.Leg(odd, lambda: points, lambda p: p["n"], lambda p: 7)
-        check = verify.IdentityCheck(f"ID{odd}", odd, (leg, leg._replace(side=None)))
+        # Quotes, backslashes, newlines and non-ASCII text escape as json does,
+        # and a brace or a % stays itself wherever the template bakes text in:
+        # the check id, the side, the parameter's name and value and the n
+        # key.  A bool is "true", not str(True), and n may be negative.
+        odd = 'say "hi" %s {0} %% }\\\né'
+        leg = verify.Leg(odd, f"{{k}}%{odd}", (True, False, None, 10**30, -7, 1.5, [1, "a"], odd),
+                         f"n%{{", (range(-3, 2),) * 8, lambda value, ns: list(ns),
+                         lambda value, ns: [abs(n) for n in ns])
+        check = verify.IdentityCheck(f"ID{odd}", odd, (
+            leg, leg._replace(side=None),
+            leg._replace(param=None, values=(None,), ranges=(range(-2, 300),))))
         report = verify.run_check(check)
-        assert not report.passed
+        assert 0 < report.failed < len(report.records)
+        assert len(report.records) > 2 * cli._ROWS_PER_WRITE
         self.assert_renders(report)
 
     def test_empty_report(self):
-        self.assert_renders(verify.VerificationReport("EMPTY", "no records", ()))
+        self.assert_renders(verify.VerificationReport("EMPTY", "no records", verify.Rows(())))
 
     @staticmethod
     def late_failure():

@@ -362,3 +362,30 @@ def test_invalid_param_raises_over_a_cached_row(fn, count, bad, fresh_rows):
             count(bad, n)
     assert fresh_rows == {(fn, bad): [0] * partitions._BLOCK}
     assert fresh_rows[(fn, bad)] is planted
+
+
+@pytest.mark.parametrize("key", ROW_READERS, ids=str)
+@pytest.mark.parametrize("ns", [range(0), range(5, 300), range(127, 130), range(0, 701, 2),
+                                range(1, 702, 2), range(300, 701, 7)], ids=str)
+def test_count_row_is_the_per_n_values(key, ns, fresh_rows):
+    # count_row slices the row that the per-n function reads, cold, across
+    # block edges and with a step, growing it to the end of the block that
+    # holds its last n, as a per-n call at that n does.
+    fn, param = key
+    row = counting.count_row(fn, param, ns)
+    if ns:
+        assert list(fresh_rows) == [key]
+        assert len(fresh_rows[key]) == (ns[-1] | (partitions._BLOCK - 1)) + 1
+    else:
+        assert fresh_rows == {}
+    assert row == [ROW_READERS[key](n) for n in ns]
+
+
+def test_count_row_checks_its_arguments(fresh_rows):
+    for ns in (range(-1, 3), range(9, 2, -1)):
+        with pytest.raises(ValueError, match="increasing n >= 0"):
+            counting.count_row("p", None, ns)
+    with pytest.raises(ValueError):
+        counting.count_row("x_mex", 0, range(3))  # below its least parameter
+    assert fresh_rows == {}
+    assert counting.count_row("M", -3, range(9)) == [crank_count(3, n) for n in range(9)]

@@ -2,7 +2,7 @@
 disjoint code in ``src/mexcrank``, apart from the series plumbing and the
 legs written down in :data:`ALLOWED`, each with its reason.
 
-Each side runs at its leg's first, middle and last point under
+Each side's row callable runs at its leg's first, middle and last row under
 ``sys.setprofile``, from cold caches and a fresh registry, so that a warm p
 table, row or series memo cannot carry data from one side to the other.
 The grids of ``registry(260, budget=8, order=260)`` reach past n = 128,
@@ -43,15 +43,17 @@ def _name(code: CodeType) -> str:
 
 
 # Shared by every series leg and by every record type; it moves no numbers.
-_SERIES_MEMO = next(const for const in verify.registry.__code__.co_consts
-                    if isinstance(const, CodeType) and const.co_name == "series")
-PLUMBING = _codes(_Value._init, qseries.TruncatedSeries.__init__,
-                  qseries.TruncatedSeries.__getitem__, qseries.GfKind.__init__,
-                  qseries.gf) | {_SERIES_MEMO}
+# The registry's series memo and coeffs, and _cut, slice a row for a side.
+_REGISTRY_LOCALS = {const.co_name: const for const in verify.registry.__code__.co_consts
+                    if isinstance(const, CodeType)}
+PLUMBING = _codes(_Value._init, qseries.TruncatedSeries.__init__, qseries.GfKind.__init__,
+                  qseries.gf, verify._cut) | {_REGISTRY_LOCALS["series"],
+                                              _REGISTRY_LOCALS["coeffs"]}
 
 _P_RECURRENCE = (partitions._grow, partitions._pentagonal, partitions._slice_sums)
-_ROW_KERNEL = (counting._count, counting._stream, counting._row_entry, counting._extend,
-               partitions.shared_partition_table, *_P_RECURRENCE)
+_ROW_KERNEL = (counting.count_row, counting._row, counting._count, counting._stream,
+               counting._row_entry, counting._extend, partitions.shared_partition_table,
+               *_P_RECURRENCE)
 
 # The legs whose two sides share code beyond the plumbing: (legs, the
 # functions they may share, why).  The IdentityCheck docstring and the
@@ -77,13 +79,13 @@ LEGS = [pytest.param(check_index, leg_index, id=check.check_id if leg.side is No
 
 def _reached(monkeypatch, check_index: int, leg_index: int, side: str) -> set[CodeType]:
     # The package code that one side of a leg runs at the leg's first,
-    # middle and last point, from cold caches and a fresh registry.
+    # middle and last row, from cold caches and a fresh registry.
     monkeypatch.setattr(counting, "_ROWS", {})
     monkeypatch.setattr(verify, "_STATISTICS", ())
     monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
     monkeypatch.setattr(partitions, "_DISTINCT_TABLE", [1])
     leg = verify.registry(**REGISTRY)[check_index].legs[leg_index]
-    grid = list(leg.grid)
+    rows = list(zip(leg.values, leg.ranges))
     compute = getattr(leg, side)
     reached: set[CodeType] = set()
 
@@ -94,8 +96,8 @@ def _reached(monkeypatch, check_index: int, leg_index: int, side: str) -> set[Co
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for point in (grid[0], grid[len(grid) // 2], grid[-1]):
-            compute(point)
+        for index in sorted({0, len(rows) // 2, len(rows) - 1}):
+            compute(*rows[index])
     finally:
         sys.setprofile(previous)
     return reached

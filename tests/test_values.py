@@ -23,6 +23,7 @@ from mexcrank import (
     VerificationReport,
     checks_by_id,
     partition_statistics,
+    perturbed,
     qseries,
     run_check,
 )
@@ -221,7 +222,7 @@ class TestTruncatedSeries:
 
 
 def _leg():
-    return Leg(None, lambda: [{"n": 1}], lambda point: 1, lambda point: 1)
+    return Leg(None, None, (None,), "n", (range(1, 2),), lambda value, ns: [1], lambda value, ns: [1])
 
 
 class TestIdentityCheck:
@@ -278,6 +279,20 @@ class TestVerificationReport:
     @pytest.mark.parametrize("field", ["check_id", "statement", "records"])
     def test_immutable(self, field):
         assert_frozen(VerificationReport("ID", "s", ()), field)
+
+    def test_a_report_of_rows_equals_its_records_as_a_tuple(self):
+        # run_check keeps its records as rows and makes them when asked.
+        check = checks_by_id(12, budget=6)["THM_FROB_J"]
+        for report in (run_check(check), run_check(perturbed(check, {"j": 2}))):
+            plain = VerificationReport(report.check_id, report.statement, tuple(report.records))
+            assert report == plain and plain == report and repr(report) == repr(plain)
+            assert report.failed == plain.failed == sum(not r.passed for r in plain.records)
+            assert report.first_counterexample == plain.first_counterexample
+            assert report.to_jsonable() == plain.to_jsonable()
+            with pytest.raises(TypeError):
+                hash(report)
+            clone = pickle.loads(pickle.dumps(report))
+            assert clone == report and type(clone.records) is tuple
 
     def test_run_check_builds_one(self):
         report = run_check(checks_by_id(2)["EWELL_ODD"])

@@ -207,6 +207,37 @@ class TestMutationProbe:
             text = (package / f"{mutant.module}.py").read_text(encoding="utf-8")
             assert text.count(mutant.old) == 1, mutant.name
 
+    def test_a_crashed_run_is_one_broken_line(self, probe, monkeypatch, capsys):
+        # A mutant that makes verify raise exits 1, as a failing check does,
+        # with no report on stdout: the probe reports it in one line, counts
+        # it as broken and goes on.  No verify is spawned here.
+        crash = (1, "", "Traceback (most recent call last):\n  File ...\n"
+                        "IndexError: list index out of range\n")
+        assert probe._parse_run(*crash) == (
+            "verify crashed: IndexError: list index out of range", {})
+        assert probe._parse_run(3, "", "") == ("verify exited 3", {})
+        report = {"check_id": "C", "records": [
+            {"pass": True, "params": {"n": 0}}, {"pass": False, "params": {"side": "s", "n": 3}},
+            {"pass": False, "params": {"side": "s", "n": 4}}]}
+        assert probe._parse_run(1, json.dumps({"pass": False, "reports": [report]}), "") == (
+            None, {"C/s": {"n": 3}})
+        crashing = probe.MUTANTS[1]
+
+        def fake_run(mutant):
+            if mutant is crashing:
+                return probe._parse_run(*crash)
+            return None, {} if mutant is None or mutant.survives else {
+                check_id: {"n": 0} for check_id in mutant.kills}
+
+        monkeypatch.setattr(probe, "_run", fake_run)
+        assert probe.main() == 1
+        out = capsys.readouterr().out
+        assert (f"{crashing.name}: verify crashed: IndexError: list index out of range"
+                f"  EXPECTED kills {', '.join(crashing.kills)}\n") in out
+        assert f"killed {len(probe.MUTANTS) - 6} of {len(probe.MUTANTS)}; 1 expectations broken" in out
+        matrix = json.loads(out[out.index("\n{") + 1:])
+        assert list(matrix) == sorted(mutant.name for mutant in probe.MUTANTS)
+
     def test_expectations_name_known_checks(self, probe):
         assert len({mutant.name for mutant in probe.MUTANTS}) == len(probe.MUTANTS)
         for mutant in probe.MUTANTS:
@@ -216,11 +247,14 @@ class TestMutationProbe:
 
 class TestRunCheck:
     def test_empty_grid_rejected(self):
-        empty = Leg("a", tuple, lambda p: 0, lambda p: 0)
+        def zeros(value, ns):
+            return [0] * len(ns)
+
+        empty = Leg("a", "m", (1, 2), "n", (range(0), range(3, 3)), zeros, zeros)
         with pytest.raises(ValueError):
             run_check(IdentityCheck(check_id="EMPTY", statement="no points", legs=(empty, empty)))
         # One leg with points is enough.
-        one = Leg("b", lambda: ({"n": 0},), lambda p: 0, lambda p: 0)
+        one = Leg("b", None, (None,), "n", (range(1),), zeros, zeros)
         report = run_check(IdentityCheck(check_id="PART", statement="one point", legs=(empty, one)))
         assert [record.params for record in report.records] == [{"side": "b", "n": 0}]
 
@@ -228,12 +262,21 @@ class TestRunCheck:
         check = IdentityCheck(
             check_id="OVER_BUDGET",
             statement="asks the oracle past its cap",
-            legs=(Leg(None, lambda: ({"n": 40},),
-                      lambda p: oracle_count(p["n"], lambda lam: True, budget=35),
-                      lambda p: 0),),
+            legs=(Leg(None, None, (None,), "n", (range(40, 41),),
+                      lambda _, ns: [oracle_count(n, lambda lam: True, budget=35) for n in ns],
+                      lambda _, ns: [0] * len(ns)),),
         )
         with pytest.raises(BudgetExceededError):
             run_check(check)
+
+    @pytest.mark.parametrize("lhs_size, rhs_size", [(2, 3), (3, 2), (2, 2)])
+    def test_a_row_of_the_wrong_length_is_an_error(self, lhs_size, rhs_size):
+        # A side that comes back short, say a series sliced past its order,
+        # must not drop records.
+        leg = Leg(None, None, (None,), "n", (range(3),),
+                  lambda _, ns: [0] * lhs_size, lambda _, ns: [0] * rhs_size)
+        with pytest.raises(ValueError, match="values for 3 n"):
+            run_check(IdentityCheck(check_id="SHORT", statement="a short row", legs=(leg,)))
 
     def test_record_order_is_grid_order(self):
         check = checks_by_id(10, budget=10)["EWELL_EVEN"]
@@ -241,15 +284,25 @@ class TestRunCheck:
         assert [record.params for record in report.records] == list(check.grid)
 
     @pytest.mark.parametrize("check", (
-        *registry(40, budget=12),
+        *registry(),
         perturbed(checks_by_id(40, budget=12)["THM_FROB_J"], {"j": 3}),
+        *(pytest.param(check, id=f"{check.check_id}@260")
+          for check in registry(260, budget=8, order=260)),
     ), ids=lambda check: check.check_id)
     def test_records_match_the_plain_construction(self, check):
-        # run_check makes its records in C, one leg at a time; they must be
-        # the CheckRecords this one expression makes, in the same order.
-        expected = tuple(CheckRecord(point, leg.lhs(point), leg.rhs(point))
-                         for leg in check.legs for point in leg.grid)
+        # run_check evaluates each side a row at a time and makes the
+        # records lazily; they must be the CheckRecords made point by point,
+        # each side's row callable asked for a row of one n, in grid order.
+        def point(leg, value, n):
+            head = {} if leg.side is None else {"side": leg.side}
+            return {**head, **({} if leg.param is None else {leg.param: value}), leg.key: n}
+
+        expected = tuple(CheckRecord(point(leg, value, n), leg.lhs(value, range(n, n + 1))[0],
+                                     leg.rhs(value, range(n, n + 1))[0])
+                         for leg in check.legs for value, ns in zip(leg.values, leg.ranges)
+                         for n in ns)
         records = run_check(check).records
+        assert len(records) == len(expected)
         assert records == expected
         for record in records:
             assert type(record) is CheckRecord

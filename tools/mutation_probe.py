@@ -19,9 +19,11 @@ recorded with the first point at which it fails: that is the kill matrix.
 
 It prints one line per mutant, then the kill matrix as one JSON object, and
 exits 1 when any expectation breaks, a listed survivor that is killed
-included.  It writes nothing in the repository; the copies are removed.
-Mutation testing follows DeMillo, Lipton and Sayward, "Hints on test data
-selection" (1978).
+included.  A mutant under which verify crashes, or exits with a code other
+than 0 or 1, breaks its expectation; its line says so, with the last line
+of verify's stderr, and the probe goes on to the next mutant.  It writes
+nothing in the repository; the copies are removed.  Mutation testing
+follows DeMillo, Lipton and Sayward, "Hints on test data selection" (1978).
 """
 
 from __future__ import annotations
@@ -49,12 +51,14 @@ MUTANTS = (
            ' for g, c in _mex_residue_terms(0, 2))),',
            kills=("PROP_MEXRES",)),
     Mutant("rows_plus_2_from_384", "counting",
-           "    return row[n]\n",
-           "    return row[n] + 2 * (n >= 384)\n",
+           "    return _row(key, stream, ns[-1])[ns.start:ns.stop:ns.step]\n",
+           "    return [value + 2 * (n >= 384)\n"
+           "            for n, value in zip(ns, _row(key, stream, ns[-1])[ns.start:ns.stop:ns.step])]\n",
            kills=("EWELL_EVEN", "EWELL_ODD", "PROP_MEXRES")),
     Mutant("m5_row_plus_1_from_320", "counting",
-           'return _count("M", abs(m), n)',
-           'return _count("M", abs(m), n) + (abs(m) == 5 and n >= 320)',
+           "    return _row(key, stream, ns[-1])[ns.start:ns.stop:ns.step]\n",
+           "    return [value + (key == ('M', 5) and n >= 320)\n"
+           "            for n, value in zip(ns, _row(key, stream, ns[-1])[ns.start:ns.stop:ns.step])]\n",
            survives="item 9"),
     Mutant("div_one_minus_qk_plus_1_at_256", "qseries",
            "            coeffs[i:i + k] = map(add, coeffs[i:i + k], coeffs[i - k:i])\n",
@@ -253,26 +257,37 @@ def _apply(root: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def _failing_legs(root: Path) -> tuple[int, dict[str, dict]]:
-    # verify's exit code, and each failing leg with the point where it
-    # first fails.
+def _failing_legs(root: Path) -> tuple[str | None, dict[str, dict]]:
     env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run([sys.executable, "-m", "mexcrank", "verify", "--all", "--format", "json"],
                          env=env, capture_output=True, text=True, timeout=120)
-    if run.returncode not in (0, 1):
-        return run.returncode, {}
+    return _parse_run(run.returncode, run.stdout, run.stderr)
+
+
+def _parse_run(code: int, stdout: str, stderr: str) -> tuple[str | None, dict[str, dict]]:
+    # What one verify run reports: the line that says why it gave no
+    # report, or None, and each failing leg with the point where it first
+    # fails.  A run that raised exits 1, as a failing check does, but
+    # leaves no report on stdout.
+    if code not in (0, 1):
+        return f"verify exited {code}", {}
+    try:
+        reports = json.loads(stdout)["reports"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        lines = stderr.strip().splitlines() or ["no stderr"]
+        return f"verify crashed: {lines[-1]}", {}
     legs: dict[str, dict] = {}
-    for report in json.loads(run.stdout)["reports"]:
+    for report in reports:
         for record in report["records"]:
             if not record["pass"]:
                 point = dict(record["params"])
                 side = point.pop("side", None)
                 leg = report["check_id"] + (f"/{side}" if side else "")
                 legs.setdefault(leg, point)
-    return run.returncode, legs
+    return None, legs
 
 
-def _run(mutant: Mutant | None) -> tuple[int, dict[str, dict]]:
+def _run(mutant: Mutant | None) -> tuple[str | None, dict[str, dict]]:
     with tempfile.TemporaryDirectory(prefix="mutation_probe_") as tmp:
         root = Path(tmp) / "src"
         shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
@@ -281,10 +296,10 @@ def _run(mutant: Mutant | None) -> tuple[int, dict[str, dict]]:
         return _failing_legs(root)
 
 
-def _verdict(mutant: Mutant, code: int, legs: dict[str, dict]) -> tuple[bool, str]:
+def _verdict(mutant: Mutant, error: str | None, legs: dict[str, dict]) -> tuple[bool, str]:
     # Whether the expectation holds, and the line that reports the mutant.
-    if code not in (0, 1):
-        return False, f"verify exited {code}"
+    if error is not None:
+        return False, error
     failed = sorted({leg.split("/")[0] for leg in legs})
     if not failed:
         return mutant.survives is not None, f"survives ({mutant.survives or 'expected killed'})"
@@ -295,16 +310,16 @@ def _verdict(mutant: Mutant, code: int, legs: dict[str, dict]) -> tuple[bool, st
 
 
 def main() -> int:
-    code, legs = _run(None)
-    if code != 0 or legs:
-        print(f"unmutated: verify exited {code} with failing legs {sorted(legs)}")
+    error, legs = _run(None)
+    if error is not None or legs:
+        print(f"unmutated: {error or 'checks failed'}; failing legs {sorted(legs)}")
         return 1
     matrix: dict[str, dict[str, dict]] = {}
     broken = 0
     for mutant in MUTANTS:
-        code, legs = _run(mutant)
+        error, legs = _run(mutant)
         matrix[mutant.name] = legs
-        holds, line = _verdict(mutant, code, legs)
+        holds, line = _verdict(mutant, error, legs)
         if not holds:
             broken += 1
             expected = f"kills {', '.join(mutant.kills)}" if mutant.kills else "survives"
