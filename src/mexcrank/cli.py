@@ -111,18 +111,17 @@ def _template(keys: tuple[str, ...]) -> str:
 
 def _record_texts(check_id: str, rows: Iterable[verify.Row], csv: bool = False) -> Iterator[str]:
     # Per row, the texts of its records, _canonical(to_jsonable(...)) or the
-    # CSV line, through one %-template of the check id (JSON text for JSON),
-    # the side, the parameter and the keys; a record formats n, lhs, pass and
-    # rhs, as str() writes an int.  CSV quotes the params text, which always
-    # holds a '"', with each '"' doubled; no check id, integer or bool needs it.
+    # CSV line, through one %-template of the check id (JSON text for JSON)
+    # and the row's params: its head and key; a record formats n, lhs, pass
+    # and rhs, as str() writes an int.  CSV quotes the params text, which
+    # always holds a '"', with each '"' doubled; no check id, integer or bool
+    # needs it.
     check_id = check_id.replace("%", "%%")
-    for leg, value, ns, lhs, rhs in rows:
-        texts = {} if leg.side is None else {"side": _string_text(leg.side)}
-        if leg.param is not None:
-            texts[leg.param] = _value_text(value)
-        texts[leg.key] = None
-        params = "{" + ",".join(_string_text(key).replace("%", "%%") + ":" + (
-            "%s" if texts[key] is None else texts[key].replace("%", "%%")) for key in sorted(texts)) + "}"
+    for head, key, ns, lhs, rhs in rows:
+        texts = {name: _value_text(value) for name, value in head.items()}
+        texts[key] = None
+        params = "{" + ",".join(_string_text(name).replace("%", "%%") + ":" + (
+            "%s" if texts[name] is None else texts[name].replace("%", "%%")) for name in sorted(texts)) + "}"
         passes = map(("false", "true").__getitem__, map(eq, lhs, rhs))
         if csv:
             template = f'{check_id},"{params.replace(chr(34), chr(34) * 2)}",%s,%s,%s\n'
@@ -133,16 +132,17 @@ def _record_texts(check_id: str, rows: Iterable[verify.Row], csv: bool = False) 
 
 
 def _write_report(write: Callable[[str], object], report: verify.VerificationReport,
-                  lead: str = "") -> None:
-    # lead, then _canonical(report.to_jsonable()), _ROWS_PER_WRITE records a write.
-    check_id, records = _string_text(report.check_id), report.records
-    first = "null" if not records.failed else next(compress(
-        chain.from_iterable(_record_texts(check_id, records.rows)),
-        chain.from_iterable(map(ne, row.lhs, row.rhs) for row in records.rows)))
-    write(f'{lead}{{"check_id":{check_id},"failed":{records.failed},"first_counterexample":'
-          f'{first},"pass":{"false" if records.failed else "true"},"records":[')
-    _write_chunks(write, chain.from_iterable(_record_texts(check_id, records.rows)), ",")
-    write(f'],"statement":{_string_text(report.statement)},"total":{len(records)}}}')
+                  failed: int, lead: str = "") -> None:
+    # lead, then _canonical(report.to_jsonable()), _ROWS_PER_WRITE records a
+    # write; failed is report.failed.
+    check_id, rows = _string_text(report.check_id), report.rows
+    first = "null" if not failed else next(compress(
+        chain.from_iterable(_record_texts(check_id, rows)),
+        chain.from_iterable(map(ne, row.lhs, row.rhs) for row in rows)))
+    write(f'{lead}{{"check_id":{check_id},"failed":{failed},"first_counterexample":'
+          f'{first},"pass":{"false" if failed else "true"},"records":[')
+    _write_chunks(write, chain.from_iterable(_record_texts(check_id, rows)), ",")
+    write(f'],"statement":{_string_text(report.statement)},"total":{report.total}}}')
 
 
 def _write_chunks(write: Callable[[str], object], texts: Iterator[str], sep: str) -> None:
@@ -317,14 +317,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             start = time.perf_counter()
             report = verify.run_check(check)
             elapsed_ms = round((time.perf_counter() - start) * 1000)
-            passed = report.passed
-            all_passed &= passed
-            print(f"{check.check_id}: {'pass' if passed else 'FAIL'} "
-                  f"({len(report.records)} records, {elapsed_ms} ms)", file=sys.stderr)
+            failed = report.failed
+            all_passed &= not failed
+            print(f"{check.check_id}: {'FAIL' if failed else 'pass'} "
+                  f"({report.total} records, {elapsed_ms} ms)", file=sys.stderr)
             if args.format == "json":
-                _write_report(out.write, report, "," if index else "")
+                _write_report(out.write, report, failed, "," if index else "")
             else:
-                texts = _record_texts(check.check_id, report.records.rows, csv=True)
+                texts = _record_texts(check.check_id, report.rows, csv=True)
                 _write_chunks(out.write, chain.from_iterable(texts), "")
             del report  # before the next check builds its own
         if args.format == "json":

@@ -4,17 +4,16 @@ Each count is a classical formula sum_i c_i p(n - g_i), the "fast side" that
 :mod:`mexcrank.verify` plays against a brute-force count.  Its terms come as
 a stream of (offset g, coefficient c) pairs whose offsets never decrease.
 :data:`STREAMS` holds each stream with its parameter's name and least value,
-which :func:`_stream` checks for every caller.  Each public function reads
-entry n of a cached row of its stream, :func:`_row_entry`: the row holds
-sum_i c_i p(n - g_i) for n = 0, 1, ... and, like the shared p table, grows
-to the end of the block of 128 that holds the n asked for.  Growing it
-sums, one block at a time, the slices of the shared p table that line up
-with the new entries, in C, with the kernel that the p and q recurrences
-use, ``partitions._slice_sums``; a call that hits costs a dict lookup and
-an index.  :func:`count_row` gives the entries of one range of n as one
-slice of the same row, grown the same way; the ``verify`` legs read their
-counts so.  There is one row per stream and parameter (M is keyed by |m|,
-and Ewell's two sums share one row), held for the life of the process like
+which :func:`_stream` checks for every caller.  :func:`count_row` gives
+the entries of one range of n as one slice of a cached row of its stream;
+the ``verify`` legs read their counts so, and each public per-n function is
+one n of it.  The row holds sum_i c_i p(n - g_i) for n = 0, 1, ... and,
+like the shared p table, grows to the end of the block of 128 that holds
+the last n asked for.  Growing it sums, one block at a time, the slices of
+the shared p table that line up with the new entries, in C, with the kernel
+that the p and q recurrences use, ``partitions._slice_sums``.  There is one
+row per stream and parameter (M is keyed by |m|, and Ewell's two sums share
+one row), held for the life of the process like
 the p table: at most (rows used) x (largest n asked, rounded up to 128)
 entries.  The default ``verify`` grows 40 rows, 19,712 entries in all,
 which take 0.81 MiB (``sys.getsizeof`` of each row and its entries, 64-bit
@@ -74,12 +73,6 @@ def _row(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
     if n >= len(row):
         _extend(row, stream(key[1]), n | (_BLOCK - 1))
     return row
-
-
-def _row_entry(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
-               n: int) -> int:
-    # Entry n of the row of key; 0 below n = 0.
-    return _row(key, stream, n)[n] if n >= 0 else 0
 
 
 def _extend(row: list[int], terms: Terms, limit: int) -> None:
@@ -149,11 +142,6 @@ def _stream(fn: str, param: int | None) -> Callable[[int | None], Terms]:
     return stream
 
 
-def _count(fn: str, param: int | None, n: int) -> int:
-    # Entry n of the fn row at param; param is checked on every call.
-    return _row_entry((fn, param), _stream(fn, param), n)
-
-
 def count_row(fn: str, param: int | None, ns: range) -> list[int]:
     """The entries at every n of ns of the cached row that the count
     functions read, as one list: fn is a ``STREAMS`` key, whose parameter is
@@ -170,6 +158,12 @@ def count_row(fn: str, param: int | None, ns: range) -> list[int]:
     if not ns:
         return []
     return _row(key, stream, ns[-1])[ns.start:ns.stop:ns.step]
+
+
+def _count(fn: str, param: int | None, n: int) -> int:
+    # Entry n of the fn row at param, or 0 below n = 0, as one n of
+    # count_row, which checks param on every call.
+    return sum(count_row(fn, param, range(n, n + 1) if n >= 0 else range(0)))
 
 
 def table_row(fn: str, param: int | None, n_max: int) -> list[int]:
@@ -234,7 +228,7 @@ def mex_3mod4_count(n: int) -> int:
 
 def crank_zero_expansion(n: int) -> int:
     """M(0,n) as p(n) + 2 sum_{k>=1} (-1)^k p(n - k(k+1)/2)."""
-    return _row_entry(*_CRANK_ZERO, n)
+    return _count("crank_zero", None, n)
 
 
 def ewell_even_sum(k: int) -> int:
@@ -243,12 +237,12 @@ def ewell_even_sum(k: int) -> int:
     The sign is -1 exactly when the triangular number t_j is odd, i.e. when
     j is congruent to 1 or 2 mod 4.
     """
-    return _row_entry(*_EWELL, 2 * k)
+    return _count("ewell", None, 2 * k)
 
 
 def ewell_odd_sum(k: int) -> int:
     """Ewell's odd-index sum: sum_j (-1)^(t_j) p(2k + 1 - t_j), equal to 0."""
-    return _row_entry(*_EWELL, 2 * k + 1)
+    return _count("ewell", None, 2 * k + 1)
 
 
 def is_double_pentagonal(n: int) -> bool:

@@ -10,14 +10,15 @@ for large n) stamps each leg's name into its points as ``"side"``, and its
 records follow the legs in order.  A leg's grid is a few rows, one per
 parameter value, each a range of n, and each side gives its values over a
 whole row at once as a slice of a cached row: a ``counting`` row, a series'
-coefficients or the statistics records.  :func:`run_check` keeps those rows
-and counts the failures from them; the records, each with its point's
-params dict, are made only when asked for, and the command line renders the
-rows without them.  A check's rows exist only while it runs, so unselected
-checks cost nothing.  Module discipline keeps the sides honest: oracle code
-in this file touches only :mod:`mexcrank.partitions`; the formula modules
-(:mod:`mexcrank.counting`, :mod:`mexcrank.qseries`) are imported inside
-:func:`registry` so that neither side can lean on the other.
+coefficients or the statistics records.  A report is those rows, each with
+its params but n and the name of n; it counts its points and failures from
+them, makes the records, each with its point's params dict, only when asked
+for, and the command line renders the rows without them.  A check's rows
+exist only while it runs, so unselected checks cost nothing.  Module
+discipline keeps the sides honest: oracle code in this file touches only
+:mod:`mexcrank.partitions`; the formula modules (:mod:`mexcrank.counting`,
+:mod:`mexcrank.qseries`) are imported inside :func:`registry` so that
+neither side can lean on the other.
 
 Every oracle except :func:`oracle_count` reads one
 :class:`~mexcrank.partitions.PartitionStatistics` record per n.  A miss
@@ -26,10 +27,6 @@ sweeps the records of every n up to the oracle's budget at once, with
 one tuple; the registry passes its oracles the reach of its enumeration
 grids as their budget, so one sweep serves every check.  A record is a few
 histograms of at most 2n + 1 small integers, never a list of partitions.
-Cold ``mexcrank verify --all --format json`` takes 0.178-0.182 s
-(quartiles of 11 runs) and 16.9 MB max-RSS at the default budget 35, on a
-busy host where it took 0.221-0.235 s and 18.5 MB while the legs were
-evaluated point by point (2 CPUs, Python 3.11.7, no bytecode cache).
 
 The combinatorial crank of the single partition of 1 is -1, while the crank
 generating function assigns n = 1 the counts M(0,1) = -1 and M(1,1) = 1.
@@ -173,17 +170,24 @@ class Leg(namedtuple("Leg", "side param values key ranges lhs rhs")):
 
     __slots__ = ()
 
-    def points(self, value: object, ns: range) -> Iterator[Params]:
-        """The points of the row at value over ns: side, parameter and n."""
+    def head(self, value: object) -> dict[str, object]:
+        """The params of the row at value but n: side and parameter."""
         head: dict[str, object] = {} if self.side is None else {"side": self.side}
         if self.param is not None:
             head[self.param] = value
-        key = self.key
-        return ({**head, key: n} for n in ns)
+        return head
+
+    def points(self, value: object, ns: range) -> Iterator[Params]:
+        """The points of the row at value over ns: side, parameter and n."""
+        return _points(self.head(value), self.key, ns)
 
     @property
     def grid(self) -> Iterable[Params]:
         return chain.from_iterable(map(self.points, self.values, self.ranges))
+
+
+def _points(head: Params, key: str, ns: range) -> Iterator[Params]:
+    return ({**head, key: n} for n in ns)
 
 
 class IdentityCheck(_Value):
@@ -238,107 +242,72 @@ class CheckRecord(namedtuple("CheckRecord", "params lhs rhs")):
         }
 
 
-# One row of a leg as run: the leg, its parameter value, the range of n and
-# the two sides' values over it.
-Row = namedtuple("Row", "leg value ns lhs rhs")
-
-
-class Rows(Sequence):
-    """The records of a report kept as the rows that made them, one
-    :class:`Row` per leg and parameter value.  ``failed`` counts the
-    records whose two sides differ; the :class:`CheckRecord` of each point,
-    with its params dict, is made only when a record is asked for, and then
-    kept.  Equal to a sequence of equal records, and pickled as a tuple."""
-
-    __slots__ = ("rows", "failed", "_total", "_records")
-
-    def __init__(self, rows: Iterable[Row]) -> None:
-        self.rows = tuple(rows)
-        for row in self.rows:
-            if not len(row.lhs) == len(row.rhs) == len(row.ns):
-                raise ValueError(f"a row of side {row.leg.side!r} at {row.value!r} gives "
-                                 f"{len(row.lhs)} and {len(row.rhs)} values for {len(row.ns)} n")
-        self.failed = sum(sum(map(ne, row.lhs, row.rhs)) for row in self.rows)
-        self._total = sum(len(row.ns) for row in self.rows)
-        self._records: tuple[CheckRecord, ...] | None = None
-
-    def _made(self) -> tuple[CheckRecord, ...]:
-        # tuple.__new__ runs no Python frame where CheckRecord(...) runs
-        # namedtuple's __new__.
-        if self._records is None:
-            self._records = tuple(chain.from_iterable(
-                map(tuple.__new__, repeat(CheckRecord),
-                    zip(row.leg.points(row.value, row.ns), row.lhs, row.rhs))
-                for row in self.rows))
-        return self._records
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, index):
-        return self._made()[index]
-
-    def __iter__(self) -> Iterator[CheckRecord]:
-        return iter(self._made())
-
-    def __eq__(self, other: object) -> bool:
-        return self._made() == (other._made() if isinstance(other, Rows) else other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(self._made())
-
-    def __reduce__(self):
-        return tuple, (self._made(),)
+# One row of a leg as run: its params but n (``head``), the name of n
+# (``key``), the range of n and the two sides' values over it.
+Row = namedtuple("Row", "head key ns lhs rhs")
 
 
 class VerificationReport(_Value):
-    """Deterministic per-point results for one check, in grid order.
-    ``records`` is a sequence of :class:`CheckRecord`; :func:`run_check`
-    gives it as :class:`Rows`.  Immutable; equal to a report with equal
-    fields, so two runs of one check give equal reports, and unhashable, as
-    its records hold dicts."""
+    """Deterministic results for one check, as the :class:`Row`s that
+    :func:`run_check` evaluated, in grid order; a row whose sides do not give
+    one value per n raises ValueError.  ``total`` counts the points,
+    ``failed`` those whose two sides differ, and ``records`` makes the
+    :class:`CheckRecord` of every point, with its params dict, on each access.
+    Immutable; equal to a report with equal fields, so two runs of one check
+    give equal reports, and unhashable, as its rows hold dicts."""
 
-    __slots__ = ("check_id", "statement", "records")
+    __slots__ = ("check_id", "statement", "rows")
     check_id: str
     statement: str
-    records: Sequence[CheckRecord]
+    rows: tuple[Row, ...]
 
-    def __init__(self, check_id: str, statement: str,
-                 records: Sequence[CheckRecord]) -> None:
-        self._init(check_id, statement, records)
+    def __init__(self, check_id: str, statement: str, rows: Iterable[Row]) -> None:
+        rows = tuple(rows)
+        for row in rows:
+            if not len(row.lhs) == len(row.rhs) == len(row.ns):
+                raise ValueError(f"a row at {row.head!r} gives {len(row.lhs)} and "
+                                 f"{len(row.rhs)} values for {len(row.ns)} n")
+        self._init(check_id, statement, rows)
+
+    @property
+    def total(self) -> int:
+        return sum(len(row.ns) for row in self.rows)
 
     @property
     def failed(self) -> int:
-        """The number of records whose two sides differ."""
-        records = self.records
-        if type(records) is Rows:
-            return records.failed
-        return sum(not record.passed for record in records)
+        """The number of points whose two sides differ."""
+        return sum(sum(map(ne, row.lhs, row.rhs)) for row in self.rows)
 
     @property
     def passed(self) -> bool:
         return not self.failed
 
     @property
+    def records(self) -> tuple[CheckRecord, ...]:
+        # tuple.__new__ runs no Python frame where CheckRecord(...) runs
+        # namedtuple's __new__.
+        return tuple(chain.from_iterable(
+            map(tuple.__new__, repeat(CheckRecord),
+                zip(_points(row.head, row.key, row.ns), row.lhs, row.rhs))
+            for row in self.rows))
+
+    @property
     def first_counterexample(self) -> CheckRecord | None:
-        if self.passed:
-            return None
-        return next(record for record in self.records if not record.passed)
+        return next((record for record in self.records if not record.passed), None)
 
     def to_jsonable(self) -> dict:
-        counterexample = self.first_counterexample
+        records = self.records  # made once, not once per use
+        counterexample = next((record for record in records if not record.passed), None)
         return {
             "check_id": self.check_id,
             "statement": self.statement,
             "pass": counterexample is None,
-            "total": len(self.records),
+            "total": len(records),
             "failed": self.failed,
             "first_counterexample": (
                 None if counterexample is None else counterexample.to_jsonable(self.check_id)
             ),
-            "records": [record.to_jsonable(self.check_id) for record in self.records],
+            "records": [record.to_jsonable(self.check_id) for record in records],
         }
 
 
@@ -353,8 +322,8 @@ def run_check(check: IdentityCheck) -> VerificationReport:
     equality everywhere.  Records come back in grid order; a check with no
     point in any leg raises ValueError before anything is evaluated."""
     _require_points(check)
-    return VerificationReport(check.check_id, check.statement, Rows(
-        Row(leg, value, ns, leg.lhs(value, ns), leg.rhs(value, ns))
+    return VerificationReport(check.check_id, check.statement, (
+        Row(leg.head(value), leg.key, ns, leg.lhs(value, ns), leg.rhs(value, ns))
         for leg in check.legs for value, ns in zip(leg.values, leg.ranges) if ns))
 
 

@@ -552,14 +552,14 @@ class TestRenderer:
     # params text, lhs, rhs and pass.
     @staticmethod
     def assert_renders(report):
-        chunks = math.ceil(len(report.records) / cli._ROWS_PER_WRITE)
+        chunks = math.ceil(report.total / cli._ROWS_PER_WRITE)
         writes = []
-        cli._write_report(writes.append, report)
+        cli._write_report(writes.append, report, report.failed)
         payload = report.to_jsonable()
         assert "".join(writes) == cli._canonical(payload)
         assert len(writes) == 2 + chunks  # the head, each chunk of records and the tail
         writes = []
-        texts = cli._record_texts(report.check_id, report.records.rows, csv=True)
+        texts = cli._record_texts(report.check_id, report.rows, csv=True)
         cli._write_chunks(writes.append, chain.from_iterable(texts), "")
         lines = io.StringIO()
         for record in payload["records"]:
@@ -600,7 +600,7 @@ class TestRenderer:
         self.assert_renders(report)
 
     def test_empty_report(self):
-        self.assert_renders(verify.VerificationReport("EMPTY", "no records", verify.Rows(())))
+        self.assert_renders(verify.VerificationReport("EMPTY", "no records", ()))
 
     @staticmethod
     def late_failure():
@@ -653,17 +653,28 @@ class TestRenderer:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_no_dict_on_the_cli_path(self, fmt, capsys, monkeypatch):
+        # Every check, and one perturbed to fail, so that the first
+        # counterexample is rendered too: no dict and no record is made.
+        checks = verify.checks_by_id(12, budget=12)
+        broken = verify.perturbed(checks["THM_FROB_J"], {"j": 2, "n": 7})
+        checks[broken.check_id] = broken
+        reference = verify.run_check(broken).to_jsonable()
+        monkeypatch.setattr(verify, "checks_by_id", lambda *args, **kwargs: checks)
         argv = ["verify", "--n-max", "12", "--budget", "12", "--format", fmt]
         expected = run_cli(argv, capsys)
 
         def refuse(*args):
-            raise AssertionError("to_jsonable called")
+            raise AssertionError("to_jsonable or records called")
 
         monkeypatch.setattr(verify.CheckRecord, "to_jsonable", refuse)
         monkeypatch.setattr(verify.VerificationReport, "to_jsonable", refuse)
+        monkeypatch.setattr(verify.VerificationReport, "records", property(refuse))
         code, out, _ = run_cli(argv, capsys)
-        assert (code, out) == (0, expected[1])
-        assert expected[0] == 0
+        assert (code, out) == (1, expected[1])
+        assert expected[0] == 1
+        if fmt == "json":
+            assert json.loads(out)["reports"][-1] == reference
+            assert reference["first_counterexample"]["params"] == {"side": "series", "j": 2, "n": 7}
 
 
 class TestClosedPipe:

@@ -52,7 +52,7 @@ PLUMBING = _codes(_Value._init, qseries.TruncatedSeries.__init__, qseries.GfKind
 
 _P_RECURRENCE = (partitions._grow, partitions._pentagonal, partitions._slice_sums)
 _ROW_KERNEL = (counting.count_row, counting._row, counting._count, counting._stream,
-               counting._row_entry, counting._extend, partitions.shared_partition_table,
+               counting._extend, partitions.shared_partition_table,
                *_P_RECURRENCE)
 
 # The legs whose two sides share code beyond the plumbing: (legs, the

@@ -60,10 +60,11 @@ def test_each_subcommand_loads_only_its_modules(args):
 
 def test_no_module_loads_typing():
     # -I -S: no site, so no .pth file has loaded typing before mexcrank runs.
+    # -I also ignores PYTHONDONTWRITEBYTECODE, so -B keeps __pycache__ out of src.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "from mexcrank import cli, counting, partitions, qseries, verify; "
              "print(*sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+    result = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", probe, str(SRC)],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n"

@@ -27,7 +27,7 @@ from mexcrank import (
     qseries,
     run_check,
 )
-from mexcrank.verify import CheckRecord
+from mexcrank.verify import CheckRecord, Row
 
 
 def assert_frozen(value, field):
@@ -252,18 +252,23 @@ class TestIdentityCheck:
         assert check.grid == ({"n": 1}, {"side": "b", "n": 1})
 
 
+def _rows(lhs=1, rhs=2):
+    # One row of one point, n = 1, with no side and no parameter.
+    return (Row({}, "n", range(1, 2), (lhs,), (rhs,)),)
+
+
 class TestVerificationReport:
     def test_value_equality(self):
-        records = (CheckRecord({"n": 1}, 1, 2),)
-        report = VerificationReport("ID", "a claim", records)
-        twin = VerificationReport(check_id="ID", statement="a claim",
-                                  records=(CheckRecord({"n": 1}, 1, 2),))
+        rows = _rows()
+        report = VerificationReport("ID", "a claim", rows)
+        twin = VerificationReport(check_id="ID", statement="a claim", rows=_rows())
         assert report == twin
-        assert report != VerificationReport("ID", "a claim", (CheckRecord({"n": 1}, 2, 2),))
-        assert report != VerificationReport("ID", "a claim", records[:0])
+        assert report != VerificationReport("ID", "a claim", _rows(lhs=2))
+        assert report != VerificationReport("ID", "a claim", rows[:0])
         with pytest.raises(TypeError):
-            hash(report)  # its records hold dicts, as PartitionStatistics does
-        assert not report.passed and report.first_counterexample == records[0]
+            hash(report)  # its rows hold dicts, as PartitionStatistics does
+        assert (report.total, report.failed, report.passed) == (1, 1, False)
+        assert report.first_counterexample == CheckRecord({"n": 1}, 1, 2)
 
     def test_two_runs_of_one_check_are_equal(self):
         check = checks_by_id(12, budget=6)["THM_JCRANK"]
@@ -271,33 +276,39 @@ class TestVerificationReport:
         assert first == second and first is not second
 
     def test_repr(self):
-        records = (CheckRecord({"n": 1}, 1, 1),)
-        assert repr(VerificationReport("ID", "s", records)) == (
+        assert repr(VerificationReport("ID", "s", _rows(1, 1))) == (
             "VerificationReport(check_id='ID', statement='s', "
-            "records=(CheckRecord(params={'n': 1}, lhs=1, rhs=1),))")
+            "rows=(Row(head={}, key='n', ns=range(1, 2), lhs=(1,), rhs=(1,)),))")
 
-    @pytest.mark.parametrize("field", ["check_id", "statement", "records"])
+    @pytest.mark.parametrize("field", ["check_id", "statement", "rows", "records"])
     def test_immutable(self, field):
         assert_frozen(VerificationReport("ID", "s", ()), field)
 
-    def test_a_report_of_rows_equals_its_records_as_a_tuple(self):
-        # run_check keeps its records as rows and makes them when asked.
+    def test_records_are_made_from_the_rows(self):
+        rows = (Row({"side": "a", "m": 3}, "k", range(2, 4), [5, 6], (5, 7)),
+                Row({}, "n", range(0), (), ()))
+        report = VerificationReport("ID", "s", iter(rows))
+        assert report.rows == rows
+        assert report.records == (CheckRecord({"side": "a", "m": 3, "k": 2}, 5, 5),
+                                  CheckRecord({"side": "a", "m": 3, "k": 3}, 6, 7))
+        assert (report.total, report.failed) == (2, 1)
+        assert report.first_counterexample == report.records[1]
+
+    def test_counts_agree_with_the_records(self):
         check = checks_by_id(12, budget=6)["THM_FROB_J"]
         for report in (run_check(check), run_check(perturbed(check, {"j": 2}))):
-            plain = VerificationReport(report.check_id, report.statement, tuple(report.records))
-            assert report == plain and plain == report and repr(report) == repr(plain)
-            assert report.failed == plain.failed == sum(not r.passed for r in plain.records)
-            assert report.first_counterexample == plain.first_counterexample
-            assert report.to_jsonable() == plain.to_jsonable()
+            records = report.records
+            assert report.total == len(records)
+            assert report.failed == sum(not r.passed for r in records)
+            assert report.first_counterexample == next(
+                (r for r in records if not r.passed), None)
             with pytest.raises(TypeError):
                 hash(report)
-            clone = pickle.loads(pickle.dumps(report))
-            assert clone == report and type(clone.records) is tuple
 
     def test_run_check_builds_one(self):
         report = run_check(checks_by_id(2)["EWELL_ODD"])
         assert type(report) is VerificationReport
-        assert report.passed and len(report.records) == 3
+        assert report.passed and report.total == len(report.records) == 3
 
 
 @pytest.mark.parametrize("value", [
@@ -310,8 +321,14 @@ def test_copies_and_pickles_are_equal(value):
 
 
 def test_report_pickles_with_its_fields():
-    report = VerificationReport("ID", "s", (CheckRecord({"n": 1}, 1, 2),))
-    clone = pickle.loads(pickle.dumps(report))
-    assert (clone.check_id, clone.statement, clone.records) == (
-        report.check_id, report.statement, report.records)
-    assert clone.first_counterexample == report.records[0]
+    check = checks_by_id(12, budget=6)["THM_FROB_J"]
+    for report in (VerificationReport("ID", "s", _rows()), run_check(check),
+                   run_check(perturbed(check, {"j": 2}))):
+        for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                      copy.deepcopy(report)):
+            assert clone == report and type(clone.rows) is tuple
+            assert (clone.check_id, clone.statement, clone.rows) == (
+                report.check_id, report.statement, report.rows)
+            assert clone.records == report.records
+            assert clone.first_counterexample == report.first_counterexample
+            assert clone.to_jsonable() == report.to_jsonable()

@@ -290,9 +290,10 @@ class TestRunCheck:
           for check in registry(260, budget=8, order=260)),
     ), ids=lambda check: check.check_id)
     def test_records_match_the_plain_construction(self, check):
-        # run_check evaluates each side a row at a time and makes the
-        # records lazily; they must be the CheckRecords made point by point,
-        # each side's row callable asked for a row of one n, in grid order.
+        # run_check evaluates each side a row at a time, and the report
+        # makes its records from the rows; they must be the CheckRecords
+        # made point by point, each side's row callable asked for a row of
+        # one n, in grid order.
         def point(leg, value, n):
             head = {} if leg.side is None else {"side": leg.side}
             return {**head, **({} if leg.param is None else {leg.param: value}), leg.key: n}

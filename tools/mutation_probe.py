@@ -238,8 +238,8 @@ MUTANTS = (
 #   product verify builds, crank0_alt, loops over the +-1 terms of
 #   (q;q)_inf); the walker yielding a parent in another order (the sweep adds
 #   into difference tables, so the walk's order does not matter); and the
-#   argument checks of counting._count run after the row lookup (verify
-#   passes no bad parameter).
+#   parameter check of counting.count_row, which every per-n function
+#   reads, run after the row lookup (verify passes no bad parameter).
 # - c752f3f's row cut at n_max - 1 and start-factor clamp of durfee_rect:
 #   verify never calls table_row, and the clamp is gone.
 # - 8cf9a8b's q table not grown to its block's end: it leaves every table
