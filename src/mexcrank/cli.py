@@ -40,8 +40,8 @@ SERIES_ORDER_MAX = 20_000
 # they took 28 s and 207 MB while every report held its records.  Measured
 # before that, the costliest check alone (CRANK_GF_CONSISTENCY,
 # COR_CRANKRECUR) took about 4.4 s and 137 MB, all 15 checks under --order
-# 14 s and 180 MB, and PROP_MEXFORM at --budget 50 0.42 s and 16 MB: the
-# cost of --budget grows with p(n), and p(80) is 15.8M partitions.
+# 14 s and 180 MB.  PROP_MEXFORM at --budget 50 takes 0.24 s and 16 MB,
+# mostly the sweep over the 56,953 partitions of <= 50 into parts >= 3.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50

@@ -115,31 +115,32 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition(tuple(parts) + ones[w:])
 
 
-def _without_ones(limit: int) -> Iterator[tuple[list[int], int]]:
-    """The partitions with no part 1 and weight at most limit, in post-order:
-    each comes after every partition that extends it, and the extensions by
-    a larger next part come first.
+def _without_ones(limit: int, least: int = 2) -> Iterator[tuple[list[int], int]]:
+    """The partitions with every part at least ``least`` (2 by default, so no
+    part 1) and weight at most limit, in post-order: each comes after every
+    partition that extends it, and the extensions by a larger next part come
+    first.
 
     Yields ``(parts, weight)``, the empty partition last; ``parts`` is one
-    list rewritten in place between yields, nonincreasing, every part >= 2.
-    With ``limit - weight`` ones appended, the partitions of limit come out
-    in reverse lexicographic order.
+    list rewritten in place between yields, nonincreasing, every part >=
+    least.  With least 2 and ``limit - weight`` ones appended, the
+    partitions of limit come out in reverse lexicographic order.
     """
     parts: list[int] = []
     weight = 0
     while True:
         # Descend to the first partition of this subtree: the largest part
         # that fits, again and again.
-        while (p := min(parts[-1] if parts else limit, limit - weight)) >= 2:
+        while (p := min(parts[-1] if parts else limit, limit - weight)) >= least:
             parts.append(p)
             weight += p
         yield parts, weight
         # Its subtree is done: go on to the next smaller last part, or, when
-        # the last part was a 2, up to the partition it extended.
+        # the last part was the least, up to the partition it extended.
         while parts:
             p = parts.pop()
             weight -= p
-            if p > 2:
+            if p > least:
                 parts.append(p - 1)
                 weight += p - 1
                 break
@@ -186,78 +187,100 @@ def partition_statistics(n: int) -> PartitionStatistics:
 def partition_statistics_table(limit: int) -> tuple[PartitionStatistics, ...]:
     """The :class:`PartitionStatistics` records of n = 0..limit, from one sweep.
 
-    Every partition of n is, exactly once, a partition x with no part 1 and
-    weight w <= n together with k = n - w ones, so one post-order walk over
-    the x of weight <= limit (p(limit) of them, as :func:`_without_ones`
-    gives them) reaches every partition of every n <= limit.  Each x adds
-    into difference tables over n, so the order of the walk does not
-    matter.  Each statistic is read from the parts of x, as the
-    definitions give it, with no :class:`Partition` or
-    :class:`FrobeniusSymbol` built:
+    Every partition of n is, exactly once, y + 2^j + 1^k: a partition y
+    with no part below 3 and weight w, j twos and k = n - w - 2j ones.  So
+    one post-order walk over the y of weight <= limit, as
+    :func:`_without_ones` gives them, reaches every partition of every
+    n <= limit, and each y adds its whole family over (j, k) into
+    difference tables, in which the order of the walk does not matter.
+    Each statistic is read from the parts of y, as the definitions give it,
+    with no :class:`Partition` or :class:`FrobeniusSymbol` built.  With L
+    parts in y:
 
-    * the crank of x + 1^k is the largest part of x when k = 0, and the
-      number of parts of x above k, minus k, when k >= 1;
-    * the mex is 1 when k = 0; for every k >= 1 it is the mex of x with 1
-      added, and the odd gaps are likewise one set for k = 0 and one for
-      every k >= 1;
-    * adding ones leaves the Durfee square and the top row of a nonempty x
-      as they are, and 1^k has the top row (0).
+    * the crank is the largest part when k = 0, L + j - 1 when k = 1, since
+      every 2 is above 1, and the number of parts of y above k, minus k,
+      when k >= 2, whatever j is;
+    * the mex is 1 when k = 0 and 2 when k >= 1 and j = 0; when k, j >= 1
+      it is e + 1, with 2..e the run of consecutive values in {2} and y.
+      An odd gap above a part of y depends on y alone, one above 2 on e,
+      and one above 0 or 1 on whether j and k are 0;
+    * adding twos and ones leaves the Durfee square and the top row of y
+      as they are, but for a one-part y (a), which becomes (a-1, 0 | ...)
+      once j >= 1.  Whether either row holds a 0 is the same for every j,
+      but that j = 0 and j >= 1 differ when y has one part, or two parts
+      and Durfee side 2.
 
     The counts agree with :func:`crank`, :func:`mex`, :func:`mex_above` and
     :func:`to_frobenius` applied to each partition of
-    :func:`enumerate_partitions`.  At limit 35 the sweep walks 14,883
-    partitions, where the partitions of all n <= 35 number 81,156, and takes
-    about 23 ms; at 45 it takes about 0.15 s, at 50 0.37 s and at 55 0.85 s
-    (in process, 2 CPUs, Python 3.11.7, on a day when ``python -c pass``
-    took 25 ms).
+    :func:`enumerate_partitions`.  At limit 35 the sweep walks 4,740
+    partitions, where the partitions of all n <= 35 number 81,156, and
+    takes about 12 ms; at 45 it takes about 73 ms and at 50 0.16 s (in
+    process, 2 CPUs, Python 3.11.7, on a day when ``python -c pass`` took
+    44 ms).
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    # Difference tables over n: what x + 1^k adds for every n >= lo is one
-    # add to row lo, and what it adds at n = w alone is an add to row w and
-    # a subtract from row w + 1.  Row limit + 1 takes the ends past limit.
-    # The crank table is indexed by n + crank, which stays fixed while k,
-    # and so n, runs over an interval on which the number of parts above k
-    # does not change; its rows run to 2 limit + 1, so that an interval
-    # ending past limit ends in a row never read, with no bound taken per
-    # value.  Row limit + 1 may also hold mex 2 and an odd gap at 1, past
-    # the widths that n <= limit needs when limit is 0.
-    count = [0] * (limit + 2)
-    zero_free = [0] * (limit + 2)
-    cranks = [[0] * (2 * limit + 1) for _ in range(2 * limit + 2)]
-    mexes = [[0] * (limit + 3) for _ in range(limit + 2)]
-    odd_gap = [[0] * (limit + 2) for _ in range(limit + 2)]
-    top = [[0] * (limit + 1) for _ in range(limit + 2)]
-    # The empty x: the empty partition is zero-free, and 1^k has the top
-    # row (0) for k >= 1.
+    # Difference tables over n, each entry standing for a family: an entry
+    # in row r counts its partition at j = 0 and at every n >= r, and again
+    # two rows lower for each further two, so an entry for j = 0 alone is
+    # one in row r less one in row r + 2.  After the walk each table is
+    # summed over j, in steps of two rows, and then over k.  The crank table
+    # is indexed by n + crank, which a further two moves by 2 and a further
+    # one leaves fixed while the number of parts of y above k does not
+    # change; its rows run past 2 limit, so that an interval ending past
+    # limit ends in a row never read, with no bound taken per value.  The
+    # points k = 1, whose n + crank moves by 3 with each two, have a table
+    # of their own, added in after the sums.  No row past limit is read, but
+    # entries reach row limit + 3, and those of y = () row 5 and crank
+    # column 4 whatever the limit.
+    rows = limit + 6
+    count = [0] * rows
+    zero_free = [0] * rows
+    cranks = [[0] * (2 * limit + 5) for _ in range(2 * limit + 4)]
+    k1_cranks = [[0] * (2 * limit + 5) for _ in range(limit + 2)]
+    mexes = [[0] * (limit + 4) for _ in range(rows)]
+    odd_gap = [[0] * (limit + 3) for _ in range(rows)]
+    top = [[0] * (limit + 2) for _ in range(rows)]
+    # y = (), whose family is 2^j 1^k: what the rules of the walk leave out.
+    # At k = 0 the crank is 2 once j >= 1, not the 0 of the empty
+    # partition.  1^k (k >= 1) has the top row (0), 2^j 1^k the top row (1)
+    # when j = 1 and (1, 0) once j >= 2.  The zero-free ones are (), at
+    # j = k = 0, and 2 1^k for k >= 1.
+    cranks[2][2] -= 1
+    cranks[3][2] += 1
+    cranks[2][4] += 1
+    cranks[3][4] -= 1
+    top[1][0] += 1
+    top[3][0] -= 1
+    top[2][1] += 1
+    top[4][0] += 1
     zero_free[0] += 1
     zero_free[1] -= 1
-    top[1][0] += 1
-    for parts, w in _without_ones(limit):
+    zero_free[2] -= 1
+    zero_free[3] += 2
+    zero_free[5] -= 1
+    for parts, w in _without_ones(limit, 3):
         length = len(parts)
         count[w] += 1
 
-        # Crank at k = 0: the largest part.
+        # Crank at k = 0, the largest part, and at k = 1, L + j - 1.
         first = parts[0] if parts else 0
         cranks[w][w + first] += 1
         cranks[w + 1][w + first] -= 1
+        k1_cranks[w + 1][w + length] += 1
 
-        # The parts from the least up, with 1 before them and a value past
-        # limit after.  Between consecutive values b < v, exactly i parts
-        # are above k for k = b..v-1, so x + 1^k has crank i - k there.
-        # The values fall into maximal runs of consecutive integers a..b;
-        # above each v of a run the least non-part is b + 1, an odd gap
-        # exactly when v has the parity of b: at b, b - 2, ... down to a.
-        # Each gap row is also a difference table over j, summed in steps
-        # of 2 from the top, so a run adds at b and subtracts at the first
-        # index below a, or below 2 for the run from 1, of b's parity.  The
-        # run from 1, with 0 added, is the run 0..e of x + 1^k for k >= 1,
-        # which has mex e + 1 and one odd gap at 0 or 1.  When k = 0 the
-        # run is 0 alone, with mex 1 and an odd gap at 0, for every x of
-        # weight w; those are added per weight after the walk.  The other
-        # gaps are those of x for every k.
+        # The parts from the least up, with 2 before them and no value after.
+        # Between consecutive values b < v, exactly i parts are above k for
+        # k = b..v-1, so the crank is i - k there when k >= 2.  The values
+        # fall into maximal runs of consecutive integers a..b; above each v
+        # of a run the least non-part is b + 1, an odd gap exactly when v
+        # has the parity of b: at b, b - 2, ... down to a.  Each gap row is
+        # also a difference table over j, summed in steps of 2 from the top,
+        # so a run adds at b and subtracts at the first index below a of
+        # b's parity.  The run from 3, 3..e (empty when e = 2), is one of
+        # them.
         gaps = odd_gap[w]
-        a = b = e = 1
+        a, b, e = 3, 2, 2
         i = length  # the parts above k for k = b..v-1
         for v in reversed(parts):
             if v > b:
@@ -265,61 +288,77 @@ def partition_statistics_table(limit: int) -> tuple[PartitionStatistics, ...]:
                 cranks[w + v][w + i] -= 1
                 if v > b + 1:
                     gaps[b] += 1
-                    if a == 1:
+                    gaps[a - 2 + (b - a) % 2] -= 1
+                    if a == 3:
                         e = b
-                        gaps[b % 2] -= 1
-                    else:
-                        gaps[a - 2 + (b - a) % 2] -= 1
                     a = v
                 b = v
             i -= 1
-        # The value past limit: no part is above k >= b, and a..b is the
-        # last run.  The crank's end past limit is never read.
+        # No part is above k >= b, and a..b is the last run.  The crank's end
+        # past limit is never read.
         cranks[w + b][w] += 1
         gaps[b] += 1
-        if a == 1:
+        gaps[a - 2 + (b - a) % 2] -= 1
+        if a == 3:
             e = b
-            gaps[b % 2] -= 1
-        else:
-            gaps[a - 2 + (b - a) % 2] -= 1
-        mexes[w + 1][e + 1] += 1
-        odd_gap[w + 1][e % 2] += 1
+        # With j >= 1 the run from 3 becomes 2..e, and 2 is an odd gap when
+        # e is even; with k >= 1 too it is 0..e, with mex e + 1 and an odd
+        # gap at e % 2.  Mex and odd gaps at k = 0, or at j = 0, are the same
+        # for every y of weight w, and are added per weight after the walk.
+        mexes[w + 3][e + 1] += 1
+        odd_gap[w + 3][e % 2] += 1
+        if e % 2 == 0:
+            odd_gap[w + 2][2] += 1
+            odd_gap[w + 2][0] -= 1
 
-        # Durfee side d; top row entries are x[i] - i - 1 for i < d.  A 0
-        # ends the top row when x[d-1] == d and the bottom row unless
-        # exactly x[d] == d follows (x[d] <= d always); for k >= 1 a single
-        # part a >= 2 is followed by a 1, giving the symbol (a-1 | k).
+        # Durfee side d; top row entries are y[i] - i - 1 for i < d.  A 0
+        # ends the top row when y[d-1] == d and the bottom row unless
+        # exactly y[d] == d follows (y[d] <= d always): with twos y[d] is 2
+        # when d == L, and with ones alone 1.  A single part (a) with ones
+        # alone gives the symbol (a-1 | k), and with twos (a-1, 0 | ...).
         d = 0
         while d < length and parts[d] > d:
             top[w][parts[d] - d - 1] += 1
             d += 1
-        if d == length == 1:
+        if length == 1:
+            top[w + 2][0] += 1
             zero_free[w + 1] += 1
-        elif d and parts[d - 1] > d and d < length and parts[d] == d:
+            zero_free[w + 3] -= 1
+        elif d == length == 2:
+            zero_free[w + 2] += 1
+        elif d < length and parts[d] == d and parts[d - 1] > d:
             zero_free[w] += 1
 
-    for w in range(limit + 1):  # mex 1 and an odd gap at 0 when k = 0
-        mexes[w][1] += count[w]
-        mexes[w + 1][1] -= count[w]
-        odd_gap[w][0] += count[w]
-        odd_gap[w + 1][0] -= count[w]
+    for w in range(limit + 1):
+        # k = 0: mex 1 and an odd gap at 0; j = 0 and k >= 1: mex 2 and an
+        # odd gap at 1.
+        for table, m in ((mexes, 1), (odd_gap, 0)):
+            table[w][m] += count[w]
+            table[w + 1][m] -= count[w]
+            table[w + 1][m + 1] += count[w]
+            table[w + 3][m + 1] -= count[w]
+    for n in range(2, limit + 1):  # over j; a two moves n + crank by 2, or 3 at k = 1
+        count[n] += count[n - 2]
+        zero_free[n] += zero_free[n - 2]
+        for table, shift in ((cranks, 2), (k1_cranks, 3), (mexes, 0), (odd_gap, 0), (top, 0)):
+            table[n][shift:] = map(add, table[n][shift:], table[n - 2])
     for row in odd_gap:
         for j in range(limit - 1, -1, -1):
             row[j] += row[j + 2]
-    for table in (cranks, mexes, odd_gap, top):
+    for table in (cranks, mexes, odd_gap, top):  # over k
         for n in range(1, limit + 1):
             table[n] = [c + below for c, below in zip(table[n], table[n - 1])]
     for n in range(1, limit + 1):
         count[n] += count[n - 1]
         zero_free[n] += zero_free[n - 1]
 
-    def nonzero(counts: list[int], offset: int = 0) -> Mapping[int, int]:
+    def nonzero(counts: Iterable[int], offset: int = 0) -> Mapping[int, int]:
         return MappingProxyType({i - offset: c for i, c in enumerate(counts) if c})
 
     return tuple(
         PartitionStatistics(
             count=count[n],
-            crank=nonzero(cranks[n], n),
+            crank=nonzero(map(add, cranks[n], k1_cranks[n]), n),
             mex=nonzero(mexes[n]),
             odd_gap_above=nonzero(odd_gap[n]),
             top_entry=nonzero(top[n]),

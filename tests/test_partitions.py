@@ -190,6 +190,36 @@ class TestEnumeration:
         assert first == second
 
 
+class TestWalker:
+    # partitions._without_ones(limit, least), the one walk under both the
+    # enumeration (least 2) and the statistics sweep (least 3).
+
+    @staticmethod
+    def plain_count(limit, least):
+        # The partitions into parts >= least of weight <= limit, by the
+        # textbook recurrence over the allowed parts, one part size at a time.
+        ways = [1] + [0] * limit
+        for part in range(least, limit + 1):
+            for n in range(part, limit + 1):
+                ways[n] += ways[n - part]
+        return sum(ways)
+
+    @pytest.mark.parametrize("least", (2, 3))
+    def test_each_partition_once_and_parents_after_extensions(self, least):
+        for limit in range(31):
+            walked = [(tuple(parts), w) for parts, w in partitions._without_ones(limit, least)]
+            seen = [parts for parts, _ in walked]
+            assert len(set(seen)) == len(seen) == self.plain_count(limit, least)
+            position = {parts: i for i, parts in enumerate(seen)}
+            for parts, w in walked:
+                assert w == sum(parts) <= limit
+                assert all(part >= least for part in parts)
+                assert list(parts) == sorted(parts, reverse=True)
+                if parts:
+                    assert position[parts[:-1]] > position[parts]
+            assert seen[-1] == ()
+
+
 class TestCountingTables:
     def test_partition_count_head(self):
         assert [partition_count(n) for n in range(len(P_HEAD))] == P_HEAD
@@ -463,8 +493,10 @@ class TestPartitionStatistics:
         assert [stats.count for stats in table] == [partition_count(n) for n in range(41)]
 
     def test_record_does_not_depend_on_the_limit(self):
-        tables = [partition_statistics_table(limit) for limit in range(27)]
-        for n in range(21):
+        # Up to limit 40, so that every row past a limit that a fold over
+        # the twos reaches is read.
+        tables = [partition_statistics_table(limit) for limit in range(41)]
+        for n in range(35):
             for limit in range(n, n + 7):
                 assert tables[limit][n] == tables[n][n]
 

@@ -134,8 +134,9 @@ MUTANTS = (
            kills=("COR_0CRANK", "PROP_O13", "EWELL_EVEN", "EWELL_ODD", "PROP_MEXRES")),
     # --- 631d36f and d5af69d: the statistics sweep ---------------------------
     Mutant("sweep_no_top_row_of_ones", "partitions",
-           "    top[1][0] += 1\n",
-           "",
+           "            top[w][parts[d] - d - 1] += 1\n",
+           "            top[w][parts[d] - d - 1] += 1\n"
+           "            top[w + 1][parts[d] - d - 1] -= 1\n",
            kills=("THM_FROB_J",)),
     Mutant("sweep_no_zero_free_part_and_ones", "partitions",
            "            zero_free[w + 1] += 1\n",
@@ -146,12 +147,12 @@ MUTANTS = (
            "",
            kills=("COR_CRANKRECUR",)),
     Mutant("sweep_mex_e_not_e_plus_1", "partitions",
-           "mexes[w + 1][e + 1] += 1",
-           "mexes[w + 1][e] += 1",
+           "mexes[w + 3][e + 1]",
+           "mexes[w + 3][e]",
            kills=("PROP_MEXFORM", "PROP_O13", "PROP_MEXRES")),
     Mutant("sweep_odd_gap_phase", "partitions",
-           "odd_gap[w + 1][e % 2] += 1",
-           "odd_gap[w + 1][1 - e % 2] += 1",
+           "odd_gap[w + 3][e % 2] += 1",
+           "odd_gap[w + 3][1 - e % 2] += 1",
            kills=("THM_JCRANK",)),
     Mutant("sweep_crank_run_clipped_at_limit", "partitions",
            "cranks[w + v][w + i] -= 1",
@@ -169,15 +170,36 @@ MUTANTS = (
            "cranks[w + v][w + i] -= 1",
            "cranks[w + v - 1][w + i] -= 1",
            kills=("THM_JCRANK", "COR_CRANKRECUR", "COR_0CRANK")),
+    # --- the families y + 2^j + 1^k of the statistics sweep ----------------
+    Mutant("sweep_k1_crank_fold_steps_2_2", "partitions",
+           "(k1_cranks, 3)",
+           "(k1_cranks, 2)",
+           kills=("THM_JCRANK", "COR_CRANKRECUR", "COR_0CRANK")),
+    Mutant("sweep_j1_mex_at_j0_row", "partitions",
+           "mexes[w + 3]",
+           "mexes[w + 1]",
+           kills=("PROP_MEXFORM", "PROP_O13", "PROP_MEXRES")),
+    Mutant("sweep_one_part_top_row_0_dropped", "partitions",
+           "            top[w + 2][0] += 1\n",
+           "",
+           kills=("THM_FROB_J",)),
+    Mutant("sweep_two_part_zero_free_from_j_0", "partitions",
+           "            zero_free[w + 2] += 1\n",
+           "            zero_free[w] += 1\n",
+           kills=("PROP_NOF0",)),
+    Mutant("sweep_gap_at_2_on_odd_e", "partitions",
+           "        if e % 2 == 0:\n",
+           "        if e % 2:\n",
+           kills=("THM_JCRANK",)),
     # --- 8b29c4e: the partition walker ---------------------------------------
     Mutant("walker_sibling_step", "partitions",
            "                parts.append(p - 1)\n                weight += p - 1\n",
-           "                parts.append(max(p - 2, 2))\n                weight += max(p - 2, 2)\n",
+           "                parts.append(max(p - 2, least))\n                weight += max(p - 2, least)\n",
            kills=("THM_JCRANK", "COR_CRANKRECUR", "PROP_MEXFORM", "COR_0CRANK", "PROP_NOF0",
                   "THM_FROB_J", "PROP_O13", "PROP_MEXRES")),
     Mutant("walker_descent_one_short", "partitions",
-           "min(parts[-1] if parts else limit, limit - weight)) >= 2",
-           "min(parts[-1] if parts else limit, limit - weight - 1)) >= 2",
+           "min(parts[-1] if parts else limit, limit - weight)) >= least",
+           "min(parts[-1] if parts else limit, limit - weight - 1)) >= least",
            kills=("THM_JCRANK", "COR_CRANKRECUR", "PROP_MEXFORM", "PROP_NOF0", "THM_FROB_J",
                   "PROP_O13", "PROP_MEXRES")),
     # --- 8cf9a8b: the p table and its slice sums -----------------------------
