@@ -9,8 +9,9 @@ enumeration against the formula for small n, then series against the formula
 for large n) stamps each leg's name into its points as ``"side"``, and its
 records follow the legs in order.  A leg's grid is a few rows, one per
 parameter value, each a range of n, and each side gives its values over a
-whole row at once as a slice of a cached row: a ``counting`` row, a series'
-coefficients or the statistics records.  A report is those rows, each with
+whole row at once: a formula or series side as a slice of a cached row (a
+``counting`` row or a series' coefficients), an enumeration side by reading
+a per-n oracle at each n of the row.  A report is those rows, each with
 its params but n and the name of n; it counts its points and failures from
 them, makes the records, each with its point's params dict, only when asked
 for, and the command line renders the rows without them.  A check's rows
@@ -20,8 +21,9 @@ discipline keeps the sides honest: oracle code in this file touches only
 :mod:`mexcrank.qseries`) are imported inside :func:`registry` so that
 neither side can lean on the other.
 
-Every oracle except :func:`oracle_count` reads one
-:class:`~mexcrank.partitions.PartitionStatistics` record per n.  A miss
+The registry's enumeration sides read the per-n oracles below, one n at a
+time, and only the oracles read a statistic: each but :func:`oracle_count`
+reads one :class:`~mexcrank.partitions.PartitionStatistics` record.  A miss
 sweeps the records of every n up to the oracle's budget at once, with
 :func:`~mexcrank.partitions.partition_statistics_table`, and keeps them in
 one tuple; the registry passes its oracles the reach of its enumeration
@@ -88,16 +90,6 @@ def _statistics(n: int, budget: int) -> PartitionStatistics:
     if n >= len(_STATISTICS):
         _STATISTICS = partition_statistics_table(budget)
     return _STATISTICS[n]
-
-
-def _statistics_row(ns: range, budget: int) -> Sequence[PartitionStatistics]:
-    # The records of every n of ns, an increasing range, through the checks
-    # and the sweep of _statistics at its two ends.
-    if not ns:
-        return ()
-    _statistics(ns[0], budget)
-    _statistics(ns[-1], budget)
-    return _STATISTICS[ns.start:ns.stop:ns.step]
 
 
 def _cut(values: Sequence, ns: range, shift: int = 0) -> Sequence:
@@ -387,17 +379,22 @@ def registry(
     series_top = order if order is not None else span(200)
     o13_top, crank_top, mexres_top = span(400), span(300), span(2000)
 
-    # Each side gives its values over ns as one slice of a cached row: a
-    # counting row (row), a series' coefficients (coeffs), or the
-    # statistics records (stats), read by one comprehension.
+    # A formula or series side gives its values over ns as one slice of a
+    # cached row: a counting row (row) or a series' coefficients (coeffs).
+    # An enumeration side reads a per-n oracle at each n of ns (enumerated).
     row = counting.count_row
 
     def coeffs(ns: range, order: int, tag: str, param: int | None = None,
                shift: int = 0) -> Sequence[int]:
         return _cut(series(order, tag, param).coeffs, ns, shift)
 
-    def stats(ns: range) -> Sequence[PartitionStatistics]:
-        return _statistics_row(ns, reach)
+    def enumerated(oracle: Callable[..., int], *args: int) -> Side:
+        # The oracle at each n of ns, at the row's parameter value and then
+        # args; a leg with no parameter passes args alone.
+        def side(value: object, ns: range) -> list[int]:
+            params = args if value is None else (value, *args)
+            return [oracle(n, *params, budget=reach) for n in ns]
+        return side
 
     def plain_leg(side: str | None, ns: range, lhs: Side, rhs: Side, key: str = "n") -> Leg:
         return Leg(side, None, (None,), key, (ns,), lhs, rhs)
@@ -410,21 +407,11 @@ def registry(
     def crank_geq_formula(j: int, ns: range) -> list[int]:
         return row("crank_geq", j, ns)
 
-    def crank_geq_enumerated(j: int, ns: range) -> list[int]:
-        return [sum(count for value, count in s.crank.items() if value >= j) for s in stats(ns)]
-
     def crank_formula(m: int, ns: range) -> list[int]:
         return row("M", abs(m), ns)  # M(m, n) is M(-m, n): one row for both
 
-    def crank_enumerated(m: int, ns: range) -> list[int]:
-        return [s.crank.get(m, 0) for s in stats(ns)]
-
     def crank_zero_formula(_: None, ns: range) -> list[int]:
         return row("M", 0, ns)
-
-    def mex_residues(ns: range, residue: int, modulus: int) -> list[int]:
-        return [sum(count for value, count in s.mex.items() if value % modulus == residue)
-                for s in stats(ns)]
 
     def frob_no0_series(_: None, ns: range) -> Sequence[int]:
         return coeffs(ns, series_top, "frob_no0")
@@ -454,7 +441,7 @@ def registry(
         # The count of partitions whose mex is residue mod modulus, by its
         # counting stream against the enumeration.
         return plain_leg(f"{stream}_oracle", range(top + 1),
-                         lambda _, ns: mex_residues(ns, residue, modulus),
+                         enumerated(mex_residue_oracle, residue, modulus),
                          lambda _, ns: row(stream, None, ns))
 
     def no0_top_series(_: None, ns: range) -> Sequence[int]:
@@ -468,11 +455,11 @@ def registry(
             "with the n = 1 values pinned explicitly."
         ), (
             param_leg("mex_oracle", "j", range(11), range(top + 1),
-                      lambda j, ns: [s.odd_gap_above.get(j, 0) for s in stats(ns)],
-                      crank_geq_formula),
+                      enumerated(mex_above_odd_oracle), crank_geq_formula),
             param_leg("crank_oracle", "j", range(11), range(2, top + 1),
-                      crank_geq_enumerated, crank_geq_formula),
-            *pinned_n1("n1_series", "j", _N1_CRANK_GEQ, crank_geq_formula, crank_geq_enumerated),
+                      enumerated(crank_geq_oracle), crank_geq_formula),
+            *pinned_n1("n1_series", "j", _N1_CRANK_GEQ, crank_geq_formula,
+                       enumerated(crank_geq_oracle)),
         )),
         IdentityCheck("COR_CRANKRECUR", (
             "The alternating sum over k of p(n - k(k+2|m|-1)/2) - p(n - k(k+2|m|+1)/2) "
@@ -480,17 +467,17 @@ def registry(
             "the crank series coefficients everywhere, with the n = 1 values pinned."
         ), (
             param_leg("oracle", "m", range(-12, 13), range(2, top + 1),
-                      crank_enumerated, crank_formula),
+                      enumerated(crank_value_oracle), crank_formula),
             param_leg("series", "m", range(13), range(series_top + 1),
                       lambda m, ns: coeffs(ns, series_top, "crank_m", m), crank_formula),
-            *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula, crank_enumerated),
+            *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula,
+                       enumerated(crank_value_oracle)),
         )),
         IdentityCheck("PROP_MEXFORM", (
             "Partitions of n with mex exactly m number p(n - t(m-1)) - p(n - t(m))."
         ), (
             param_leg(None, "m", range(1, 11), range(top + 1),
-                      lambda m, ns: [s.mex.get(m, 0) for s in stats(ns)],
-                      lambda m, ns: row("x_mex", m, ns)),
+                      enumerated(mex_value_oracle), lambda m, ns: row("x_mex", m, ns)),
         )),
         IdentityCheck("COR_0CRANK", (
             "The crank-zero count equals p(n) + 2 sum_k (-1)^k p(n - t(k)), with "
@@ -502,7 +489,7 @@ def registry(
                       lambda _, ns: row("crank_zero", None, ns),
                       lambda _, ns: _cut(_CRANK0_HEAD, ns)),
             plain_leg("oracle", range(2, top + 1),
-                      lambda _, ns: crank_enumerated(0, ns), crank_zero_formula),
+                      enumerated(crank_value_oracle, 0), crank_zero_formula),
         )),
         IdentityCheck("PROP_NOF0", (
             "The crank-zero count M(0,n) equals F(n) - F(n-1), where F counts "
@@ -511,7 +498,7 @@ def registry(
         ), (
             plain_leg("series", range(series_top + 1), frob_no0_step, crank_zero_formula),
             plain_leg("oracle", range(min(top, series_top) + 1),
-                      lambda _, ns: [s.zero_free for s in stats(ns)], frob_no0_series),
+                      enumerated(frobenius_no0_oracle), frob_no0_series),
         )),
         IdentityCheck("THM_FROB_J", (
             "Partitions of n with crank at least j are equinumerous with "
@@ -522,7 +509,7 @@ def registry(
                 lambda j, ns: coeffs(ns, series_top, "frob_noj_top", j, shift=j),
                 crank_geq_formula),
             param_leg("oracle", "j", range(9), range(min(top, series_top) + 1),
-                      lambda j, ns: [s.count - s.top_entry.get(j, 0) for s in stats(ns)],
+                      enumerated(frobenius_top_avoids_oracle),
                       lambda j, ns: coeffs(ns, series_top, "frob_noj_top", j), key="w"),
         )),
         IdentityCheck("PROP_O13", (
@@ -533,7 +520,8 @@ def registry(
                       lambda _, ns: list(map(sub, row("o1", None, ns), row("o3", None, ns))),
                       o13_rhs),
             plain_leg("oracle", range(1, min(top, o13_top) + 1),
-                      lambda _, ns: list(map(sub, mex_residues(ns, 1, 4), mex_residues(ns, 3, 4))),
+                      lambda _, ns: [mex_residue_oracle(n, 1, 4, budget=reach)
+                                     - mex_residue_oracle(n, 3, 4, budget=reach) for n in ns],
                       o13_rhs),
         )),
         IdentityCheck("EWELL_EVEN", (

@@ -933,10 +933,17 @@ class TestGoldenOutput:
 class TestTracedStandIn:
     # perfbench/tracing.py wraps mexcrank names from the outside; a rename
     # under src/ would break the traced benchmark runs without this.
-    @pytest.mark.parametrize("args", [
-        ("verify", "--check", "EWELL_ODD", "--n-max", "3", "--format", "json"),
-        ("series", "--kind", "crank_m", "--order", "5"),
-    ])
+    # Each invocation, with the span names that its traced run must record.
+    INVOCATIONS = {
+        ("verify", "--check", "EWELL_ODD", "--n-max", "3", "--format", "json"):
+            {"verify.registry", "verify.run_check:EWELL_ODD"},
+        ("series", "--kind", "crank_m", "--order", "5"): {"qseries.gf:crank_m"},
+        # The enumeration sides of these checks read the per-n oracles.
+        ("verify", "--check", "THM_JCRANK", "--check", "PROP_NOF0", "--n-max", "12",
+         "--budget", "12", "--format", "json"): {"verify.oracle"},
+    }
+
+    @pytest.mark.parametrize("args", list(INVOCATIONS))
     def test_stdout_matches_plain_run(self, args, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         plain = subprocess.run([sys.executable, "-m", "mexcrank", *args],
@@ -948,6 +955,9 @@ class TestTracedStandIn:
         assert plain.returncode == 0, plain.stderr
         assert traced.returncode == 0, traced.stderr
         assert traced.stdout == plain.stdout
+        # A span is [name index, parent, start, end].
+        spans = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+        assert self.INVOCATIONS[args] <= {spans["names"][span[0]] for span in spans["spans"]}
 
     def test_gf_tags_match(self, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))

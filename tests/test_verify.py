@@ -169,6 +169,35 @@ class TestRegistry:
         assert len(builds) == len(set(builds)) == 36
         assert len(kinds) == len(builds)
 
+    @pytest.mark.parametrize("name, where, legs", [
+        ("mex_above_odd_oracle", 5, {"THM_JCRANK/mex_oracle"}),
+        ("crank_geq_oracle", 5, {"THM_JCRANK/crank_oracle"}),
+        ("crank_geq_oracle", 1, {"THM_JCRANK/n1_oracle"}),
+        ("crank_value_oracle", 5, {"COR_CRANKRECUR/oracle", "COR_0CRANK/oracle"}),
+        ("crank_value_oracle", 1, {"COR_CRANKRECUR/n1_oracle"}),
+        ("mex_value_oracle", 5, {"PROP_MEXFORM/None"}),
+        ("mex_residue_oracle", 5, {"PROP_O13/oracle", "PROP_MEXRES/o_oracle",
+                                   "PROP_MEXRES/e_oracle", "PROP_MEXRES/o1_oracle",
+                                   "PROP_MEXRES/o3_oracle"}),
+        ("frobenius_no0_oracle", 5, {"PROP_NOF0/oracle"}),
+        ("frobenius_top_avoids_oracle", 5, {"THM_FROB_J/oracle"}),
+    ])
+    def test_enumeration_sides_read_the_oracles(self, name, where, legs, monkeypatch):
+        # One spelling per statistic: a fault planted in a per-n oracle
+        # fails exactly the legs, as CHECK/side, that read it.  The fault
+        # adds 1 at n = where, and 2 where the argument after n is 3, so that
+        # the PROP_O13 difference of the classes 1 and 3 mod 4 moves too.
+        original = getattr(verify, name)
+
+        def faulty(n, *args, **kwargs):
+            return original(n, *args, **kwargs) + (n == where) * (1 + (args[:1] == (3,)))
+
+        monkeypatch.setattr(verify, name, faulty)
+        failing = {f"{report.check_id}/{record.params.get('side')}"
+                   for report in map(run_check, checks_by_id(12, budget=12).values())
+                   for record in report.records if not record.passed}
+        assert failing == legs
+
 
 class TestMexResidues:
     def test_e_stream_mutant_fails_at_105(self, monkeypatch):

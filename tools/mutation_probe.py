@@ -191,6 +191,23 @@ MUTANTS = (
            "        if e % 2 == 0:\n",
            "        if e % 2:\n",
            kills=("THM_JCRANK",)),
+    # --- the per-n oracles of verify, which every enumeration side reads ----
+    Mutant("crank_geq_oracle_strict", "verify",
+           "if value >= j)",
+           "if value > j)",
+           kills=("THM_JCRANK",)),
+    Mutant("frobenius_top_avoids_reads_j_plus_1", "verify",
+           "stats.top_entry.get(j, 0)",
+           "stats.top_entry.get(j + 1, 0)",
+           kills=("THM_FROB_J",)),
+    Mutant("frobenius_no0_plus_1_at_20", "verify",
+           "    return _statistics(n, budget).zero_free\n",
+           "    return _statistics(n, budget).zero_free + (n == 20)\n",
+           kills=("PROP_NOF0",)),
+    Mutant("mex_residue_mex_5_as_6", "verify",
+           "if value % modulus == residue)",
+           "if (value + (value == 5)) % modulus == residue)",
+           kills=("PROP_O13", "PROP_MEXRES")),
     # --- 8b29c4e: the partition walker ---------------------------------------
     Mutant("walker_sibling_step", "partitions",
            "                parts.append(p - 1)\n                weight += p - 1\n",
