@@ -7,18 +7,19 @@ a stream of (offset g, coefficient c) pairs whose offsets never decrease.
 which :func:`_stream` checks for every caller.  :func:`count_row` gives
 the entries of one range of n as one slice of a cached row of its stream;
 the ``verify`` legs read their counts so, and each public per-n function is
-one n of it.  The row holds sum_i c_i p(n - g_i) for n = 0, 1, ... and,
-like the shared p table, grows to the end of the block of 128 that holds
-the last n asked for.  Growing it sums, one block at a time, the slices of
-the shared p table that line up with the new entries, in C, with the kernel
-that the p and q recurrences use, ``partitions._slice_sums``.  There is one
-row per stream and parameter (M is keyed by |m|, and Ewell's two sums share
-one row), held for the life of the process like
-the p table: at most (rows used) x (largest n asked, rounded up to 128)
-entries.  The default ``verify`` grows 40 rows, 19,712 entries in all,
-which take 0.81 MiB (``sys.getsizeof`` of each row and its entries, 64-bit
-CPython 3.11.7); ``verify --order 20000`` grows them to 36.5 MiB and
-``--n-max 20000`` to 42.8 MiB.  A ``table`` row, :func:`table_row`, takes
+one n of it.  The row holds sum_i c_i p(n - g_i) for n = 0, 1, ...;
+:func:`count_row` grows it to the last n it returns and no further, while a
+per-n function, like the shared p table, grows it to the end of the block
+of 128 that holds its n.  Growing it sums, one block at a time, the slices
+of the shared p table that line up with the new entries, in C, with the
+kernel that the p and q recurrences use, ``partitions._slice_sums``.  There
+is one row per stream and parameter (M is keyed by |m|, and Ewell's two
+sums share one row), held for the life of the process like the p table: at
+most (rows used) x (largest n asked, rounded up to 128) entries.  The
+default ``verify`` grows 40 rows, 16,761 entries in all, which take
+0.70 MiB (``sys.getsizeof`` of each row and its entries, 64-bit CPython
+3.11.7); ``verify --order 20000`` grows them to 36.2 MiB and
+``--n-max 20000`` to 42.4 MiB.  A ``table`` row, :func:`table_row`, takes
 the other route: the row's generating function is S(q)/(q;q)_inf, with S
 the sum of c q^g, so :func:`mexcrank.partitions.euler_quotient` divides S by
 the pentagonal recurrence.  A row then costs about what the p table to
@@ -66,12 +67,12 @@ _ROWS: dict[tuple[str, int | None], list[int]] = {}
 def _row(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
          n: int) -> list[int]:
     # The row of key, whose terms are stream(key[1]), holding entry n: a
-    # miss grows it to the end of the block that holds n.
+    # miss grows it to n and no further, in blocks of _BLOCK from its end.
     row = _ROWS.get(key)
     if row is None:
         row = _ROWS[key] = []
     if n >= len(row):
-        _extend(row, stream(key[1]), n | (_BLOCK - 1))
+        _extend(row, stream(key[1]), n)
     return row
 
 
@@ -149,7 +150,8 @@ def count_row(fn: str, param: int | None, ns: range) -> list[int]:
     :func:`crank_zero_expansion` or ``"ewell"`` for Ewell's sums, whose
     entry 2k is the even sum at k and 2k + 1 the odd one.  The row is keyed
     by (fn, param), so M at m and at -m, equal, are two rows here, where
-    :func:`crank_count` reads one.  ns is an increasing range of n >= 0.
+    :func:`crank_count` reads one.  ns is an increasing range of n >= 0; a
+    row that does not yet hold its last n grows to that n and no further.
     """
     if ns.step < 0 or (ns and ns[0] < 0):
         raise ValueError(f"count_row takes increasing n >= 0, got {ns}")
@@ -161,9 +163,11 @@ def count_row(fn: str, param: int | None, ns: range) -> list[int]:
 
 
 def _count(fn: str, param: int | None, n: int) -> int:
-    # Entry n of the fn row at param, or 0 below n = 0, as one n of
-    # count_row, which checks param on every call.
-    return sum(count_row(fn, param, range(n, n + 1) if n >= 0 else range(0)))
+    # Entry n of the fn row at param, or 0 below n = 0, as the first entry
+    # of count_row over the rest of n's block, so that a per-n read grows the
+    # row to the block's end; count_row checks param on every call.
+    ns = range(n, (n | (_BLOCK - 1)) + 1) if n >= 0 else range(0)
+    return sum(count_row(fn, param, ns)[:1])
 
 
 def table_row(fn: str, param: int | None, n_max: int) -> list[int]:

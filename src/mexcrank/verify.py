@@ -468,8 +468,13 @@ def registry(
         ), (
             param_leg("oracle", "m", range(-12, 13), range(2, top + 1),
                       enumerated(crank_value_oracle), crank_formula),
+            # A truncated series' coefficients do not depend on its order, so
+            # this leg reads each crank series at the wider of its order and
+            # CRANK_GF_CONSISTENCY's, and the two checks share one build per
+            # m.  So this check alone, at the defaults, builds them to 300.
             param_leg("series", "m", range(13), range(series_top + 1),
-                      lambda m, ns: coeffs(ns, series_top, "crank_m", m), crank_formula),
+                      lambda m, ns: coeffs(ns, max(series_top, crank_top), "crank_m", m),
+                      crank_formula),
             *pinned_n1("n1_formula", "m", _N1_CRANK_M, crank_formula,
                        enumerated(crank_value_oracle)),
         )),

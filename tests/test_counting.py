@@ -369,16 +369,31 @@ def test_invalid_param_raises_over_a_cached_row(fn, count, bad, fresh_rows):
                                 range(1, 702, 2), range(300, 701, 7)], ids=str)
 def test_count_row_is_the_per_n_values(key, ns, fresh_rows):
     # count_row slices the row that the per-n function reads, cold, across
-    # block edges and with a step, growing it to the end of the block that
-    # holds its last n, as a per-n call at that n does.
+    # block edges and with a step, growing it to its last n and no further,
+    # where a per-n call grows it to the end of that n's block.
     fn, param = key
     row = counting.count_row(fn, param, ns)
     if ns:
         assert list(fresh_rows) == [key]
-        assert len(fresh_rows[key]) == (ns[-1] | (partitions._BLOCK - 1)) + 1
+        assert len(fresh_rows[key]) == ns[-1] + 1
     else:
         assert fresh_rows == {}
     assert row == [ROW_READERS[key](n) for n in ns]
+
+
+@pytest.mark.parametrize("key", ROW_READERS, ids=str)
+@pytest.mark.parametrize("last, n", [(200, 150), (200, 300), (255, 100), (256, 256)])
+def test_per_n_read_after_count_row_grows_to_the_block_end(key, last, n, fresh_rows):
+    # A row that count_row left at its last n, inside a block or at either
+    # edge, grows on a per-n read to the end of the block that holds
+    # max(n, last), and keeps every entry it had.
+    fn, param = key
+    head = counting.count_row(fn, param, range(last + 1))
+    assert len(fresh_rows[key]) == last + 1
+    value = ROW_READERS[key](n)
+    assert len(fresh_rows[key]) == (max(n, last) | (partitions._BLOCK - 1)) + 1
+    assert fresh_rows[key][:last + 1] == head
+    assert value == plain_sum(key, n)
 
 
 def test_count_row_checks_its_arguments(fresh_rows):

@@ -169,6 +169,58 @@ class TestRegistry:
         assert len(builds) == len(set(builds)) == 36
         assert len(kinds) == len(builds)
 
+    @staticmethod
+    def counted_builds(monkeypatch) -> list[tuple[str, int | None, int]]:
+        # Every qseries.gf build from now on, as (tag, param, order).
+        from mexcrank import qseries
+        builds, real_gf = [], qseries.gf
+
+        def counted_gf(kind, order):
+            builds.append((kind.tag, kind.param, order))
+            return real_gf(kind, order)
+
+        monkeypatch.setattr(qseries, "gf", counted_gf)
+        return builds
+
+    def test_crank_series_are_shared_at_the_defaults(self, monkeypatch):
+        # The benchmark's 14 checks, every check but PROP_MEXRES: COR_CRANKRECUR
+        # reads each crank series at CRANK_GF_CONSISTENCY's order, 300, so the
+        # two build it once per m between them.
+        builds = self.counted_builds(monkeypatch)
+        checks = checks_by_id()
+        for check_id in ALL_CHECK_IDS[:-1]:
+            run_check(checks[check_id])
+        assert len(builds) == len(set(builds)) == 36
+        assert sorted(build for build in builds if build[0] == "crank_m") == [
+            ("crank_m", m, 300) for m in range(13)]
+
+    def test_crank_recurrence_report_is_the_same_alone_and_shared(self, monkeypatch, capsys):
+        # COR_CRANKRECUR's JSON report, byte for byte, alone, before
+        # CRANK_GF_CONSISTENCY and after it; alone, it builds its crank series
+        # to 300, the order the two checks share.
+        from mexcrank import cli
+        builds = self.counted_builds(monkeypatch)
+
+        def report(*check_ids: str) -> str:
+            args = [arg for check_id in check_ids for arg in ("--check", check_id)]
+            assert cli.main(["verify", *args, "--format", "json"]) == 0
+            reports = json.loads(capsys.readouterr().out)["reports"]
+            [found] = [r for r in reports if r["check_id"] == "COR_CRANKRECUR"]
+            return json.dumps(found, sort_keys=True, separators=(",", ":"))
+
+        alone = report("COR_CRANKRECUR")
+        assert sorted(builds) == [("crank_m", m, 300) for m in range(13)]
+        assert report("COR_CRANKRECUR", "CRANK_GF_CONSISTENCY") == alone
+        assert report("CRANK_GF_CONSISTENCY", "COR_CRANKRECUR") == alone
+        assert len(builds) == 3 * 13
+
+    def test_crank_gf_keeps_its_own_order(self, monkeypatch):
+        # A wide --order widens COR_CRANKRECUR's read, not
+        # CRANK_GF_CONSISTENCY's: alone, it builds to its own n_max.
+        builds = self.counted_builds(monkeypatch)
+        run_check(checks_by_id(10, order=20000)["CRANK_GF_CONSISTENCY"])
+        assert sorted(builds) == [("crank_m", m, 10) for m in range(13)]
+
     @pytest.mark.parametrize("name, where, legs", [
         ("mex_above_odd_oracle", 5, {"THM_JCRANK/mex_oracle"}),
         ("crank_geq_oracle", 5, {"THM_JCRANK/crank_oracle"}),

@@ -82,7 +82,7 @@ MUTANTS = (
     Mutant("poch_last_far_offset_skipped", "qseries",
            "for g in offsets[:bisect_left(offsets, stop)]]",
            "for g in offsets[:max(bisect_left(offsets, stop) - 1, 0)]]",
-           kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+           kills=("THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_near_offset_126_dropped", "qseries",
            "near_minus, far_minus, near_plus, far_plus = minus[:i], minus[i:]",
            "near_minus, far_minus, near_plus, far_plus = minus[:i - 1], minus[i:]",
@@ -110,7 +110,8 @@ MUTANTS = (
     Mutant("extend_cut_at_g_ge_limit", "counting",
            "        if g > limit:\n            break\n        (plus if c > 0",
            "        if g >= limit:\n            break\n        (plus if c > 0",
-           kills=("CRANK_GF_CONSISTENCY",)),
+           kills=("THM_JCRANK", "COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY",
+                  "PROP_MEXRES")),
     Mutant("crank_step_off_by_one", "counting",
            "lo, sign = lo + k + abs(m), -sign",
            "lo, sign = lo + k + abs(m) + 1, -sign",
@@ -223,7 +224,8 @@ MUTANTS = (
     Mutant("slice_sums_stop_one_short", "partitions",
            "for g in offsets[:bisect_left(offsets, stop)]]",
            "for g in offsets[:bisect_left(offsets, stop - 1)]]",
-           kills=("CRANK_GF_CONSISTENCY",)),
+           kills=("THM_JCRANK", "COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY",
+                  "PROP_MEXRES")),
     Mutant("slice_sums_zero_pad_one_short", "partitions",
            "zeros[:g - start] + table[:stop - g]",
            "zeros[:g - start - 1] + table[:stop - g + 1]",
