@@ -35,13 +35,14 @@ TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify, whose --n-max and --order size the same rows and
-# series.  Cold, at 20000, all 15 checks take about 22 s and 134 MB under
-# --n-max in JSON, the closed-form rows holding 43 MiB, on a busy host where
-# they took 28 s and 207 MB while every report held its records.  Measured
-# before that, the costliest check alone (CRANK_GF_CONSISTENCY,
-# COR_CRANKRECUR) took about 4.4 s and 137 MB, all 15 checks under --order
-# 14 s and 180 MB.  PROP_MEXFORM at --budget 50 takes 0.24 s and 16 MB,
-# mostly the sweep over the 56,953 partitions of <= 50 into parts >= 3.
+# series.  Cold, at 20000, all 15 checks take about 22 s and 145 MB under
+# --n-max, the closed-form rows holding 43 MiB and every report's rows held
+# until the last check ends, on a busy host where they took 28 s and 207 MB
+# while every report held its records.  Measured before that, the costliest
+# check alone (CRANK_GF_CONSISTENCY, COR_CRANKRECUR) took about 4.4 s and
+# 137 MB, all 15 checks under --order 14 s and 180 MB.  PROP_MEXFORM at
+# --budget 50 takes 0.24 s and 16 MB, mostly the sweep over the 56,953
+# partitions of <= 50 into parts >= 3.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50
@@ -299,39 +300,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    # Each report leaves as soon as it is made, CSV to stdout and JSON to a
-    # spool that is copied out after the last check, as the top-level "pass"
-    # sorts before "reports": no more than one chunk of record texts is held,
-    # as the spool hands each on to a 512-byte buffer and is copied in 8 KiB.
+    # Every check runs before the first write, as JSON's "pass" sorts before
+    # "reports", so a check that raises leaves stdout empty.  A report holds
+    # its rows, which point at the cached rows' and series' own integers.
+    reports = []
+    for check in selected:
+        start = time.perf_counter()
+        report = verify.run_check(check)
+        elapsed_ms = round((time.perf_counter() - start) * 1000)
+        failed = report.failed
+        print(f"{check.check_id}: {'FAIL' if failed else 'pass'} "
+              f"({report.total} records, {elapsed_ms} ms)", file=sys.stderr)
+        reports.append((report, failed))
+    all_passed = not any(failed for _, failed in reports)
+    write = sys.stdout.write
     if args.format == "json":
-        import io, shutil, tempfile
-        spool = io.TextIOWrapper(tempfile.TemporaryFile(buffering=512), "utf-8", write_through=True)
+        write(f'{{"pass":{_canonical(all_passed)},"reports":[')
+        for index, (report, failed) in enumerate(reports):
+            _write_report(write, report, failed, "," if index else "")
+        write("]}\n")
     else:
-        from contextlib import nullcontext
-        spool = nullcontext(sys.stdout)
         if not args.no_header:
-            sys.stdout.write("check_id,params,lhs,rhs,pass\n")
-    all_passed = True
-    with spool as out:
-        for index, check in enumerate(selected):
-            start = time.perf_counter()
-            report = verify.run_check(check)
-            elapsed_ms = round((time.perf_counter() - start) * 1000)
-            failed = report.failed
-            all_passed &= not failed
-            print(f"{check.check_id}: {'FAIL' if failed else 'pass'} "
-                  f"({report.total} records, {elapsed_ms} ms)", file=sys.stderr)
-            if args.format == "json":
-                _write_report(out.write, report, failed, "," if index else "")
-            else:
-                texts = _record_texts(check.check_id, report.rows, csv=True)
-                _write_chunks(out.write, chain.from_iterable(texts), "")
-            del report  # before the next check builds its own
-        if args.format == "json":
-            sys.stdout.write(f'{{"pass":{_canonical(all_passed)},"reports":[')
-            out.seek(0)
-            shutil.copyfileobj(out, sys.stdout, 8192)
-            sys.stdout.write("]}\n")
+            write("check_id,params,lhs,rhs,pass\n")
+        for report, _ in reports:
+            texts = _record_texts(report.check_id, report.rows, csv=True)
+            _write_chunks(write, chain.from_iterable(texts), "")
     return 0 if all_passed else 1
 
 

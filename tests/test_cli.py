@@ -14,6 +14,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from itertools import chain
@@ -543,6 +544,39 @@ class TestVerify:
         assert payload["reports"][0]["first_counterexample"]["params"] == {"k": 5}
         assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_makes_no_temporary_file(self, fmt, capsys, monkeypatch):
+        # Reports are held until the last check ends and then written
+        # straight to stdout: no file is made, under TMPDIR or elsewhere.
+        argv = ["verify", "--n-max", "12", "--budget", "12", "--format", fmt]
+        expected = run_cli(argv, capsys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("temporary file made")
+
+        for name in ("TemporaryFile", "mkstemp", "NamedTemporaryFile"):
+            monkeypatch.setattr(tempfile, name, refuse)
+        assert run_cli(argv, capsys)[:2] == expected[:2]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_raising_check_leaves_stdout_empty(self, fmt, capsys, monkeypatch):
+        # A passing check, then one whose side raises: every check runs
+        # before the first write, so nothing of the first report is printed.
+        checks = verify.checks_by_id(12, budget=12)
+
+        def raising(value, ns):
+            raise RuntimeError("side failed")
+
+        broken = verify.IdentityCheck("RAISES", "a side that raises", tuple(
+            leg._replace(rhs=raising) for leg in checks["INEQ_OE"].legs))
+        selected = {"EWELL_ODD": checks["EWELL_ODD"], "RAISES": broken}
+        monkeypatch.setattr(verify, "checks_by_id", lambda *args, **kwargs: selected)
+        with pytest.raises(RuntimeError, match="side failed"):
+            cli.main(["verify", "--check", "EWELL_ODD", "--check", "RAISES", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("EWELL_ODD: pass (")
+
 
 class TestRenderer:
     # verify writes each report a row at a time, through one template per
@@ -618,7 +652,7 @@ class TestRenderer:
         self.assert_renders(report)
 
     def test_failing_main_json_is_canonical(self, capsys, monkeypatch):
-        # Several reports through the spool, one of them failing: the document
+        # Several reports in one document, one of them failing: the document
         # is its own canonical re-dump, with "pass" false.
         checks = verify.checks_by_id(300, budget=12)
         selected = {"INEQ_OE": checks["INEQ_OE"], "LATE": self.late_failure(),
