@@ -35,14 +35,11 @@ TABLE_N_MAX = 100_000
 SERIES_ORDER_MAX = 20_000
 
 # The same for verify, whose --n-max and --order size the same rows and
-# series.  Cold, at 20000, all 15 checks take about 22 s and 145 MB under
-# --n-max, the closed-form rows holding 43 MiB and every report's rows held
-# until the last check ends, on a busy host where they took 28 s and 207 MB
-# while every report held its records.  Measured before that, the costliest
-# check alone (CRANK_GF_CONSISTENCY, COR_CRANKRECUR) took about 4.4 s and
-# 137 MB, all 15 checks under --order 14 s and 180 MB.  PROP_MEXFORM at
-# --budget 50 takes 0.24 s and 16 MB, mostly the sweep over the 56,953
-# partitions of <= 50 into parts >= 3.
+# series.  Cold, at 20000, all 15 checks take about 9 s and 145 MB under
+# --n-max, the closed-form rows holding 42 MiB and every report's rows held
+# until the last check ends, and 8 s and 128 MB under --order, on 2 CPUs.
+# PROP_MEXFORM at --n-max 50 --budget 50 takes 0.12 s and 16 MB, mostly
+# the sweep over the 56,953 partitions of <= 50 into parts >= 3.
 VERIFY_N_MAX = 20_000
 VERIFY_ORDER_MAX = 20_000
 VERIFY_BUDGET_MAX = 50

@@ -380,10 +380,10 @@ def partition_statistics_table(limit: int) -> tuple[PartitionStatistics, ...]:
 # tables grow through one helper, _grow, which takes its recurrence as
 # plain arguments and appends entries a block of _BLOCK at a time; the
 # shared tables grow to the end of the block that holds the entry asked
-# for, so a table grown one n at a time, as verify grows it, still grows a
-# whole block per call.  Growing the p table to 20000 takes about 0.2 s on
-# 2 CPUs.  A value already in a table costs a length check and one index,
-# and never reaches _grow.  The shared tables are only appended to under
+# for, so a table read one n at a time, as `table --fn q` and the per-n
+# functions read it, still grows a whole block per call.  Growing the p
+# table to 20000 takes about 0.2 s on 2 CPUs.  A value already in a table
+# costs a length check and one index, and never reaches _grow.  The shared tables are only appended to under
 # the GIL, so concurrent reads are safe once a build call has returned;
 # writers must not race with each other (the CLI and harness build
 # single-threaded).

@@ -49,7 +49,6 @@ from . import _Value
 from .partitions import (
     Partition,
     PartitionStatistics,
-    distinct_parts_count,
     enumerate_partitions,
     partition_statistics_table,
 )
@@ -187,16 +186,11 @@ class IdentityCheck(_Value):
 
     ``legs`` are evaluated in order; each fixes its grid rows and the two
     callables compared on them.  The oracle side never imports a formula
-    module.  Beyond the series plumbing, the legs whose two callables share
-    code are the allowlist of ``tests/test_independence.py``, which audits
-    every leg: COR_0CRANK ``expansion`` and PROP_MEXRES ``oe_crank0`` each
-    sum one combination of p values on both sides, by the counting row
-    kernel over the shared p table, so they catch a misspelled stream but
-    not a fault of the p table; EWELL_EVEN and PROP_O13 ``formula`` play a
-    p row against the q(n) table, and both tables grow by ``_grow``,
-    ``_pentagonal`` and ``_slice_sums`` of partitions; and SERIES_HEINE
-    runs ``_running_sum`` and ``_div_one_minus_qk`` of qseries on both
-    sides.  ``grid`` is the points of every leg, in evaluation order.
+    module.  Beyond the series plumbing, the one leg whose two callables
+    share code is the allowlist of ``tests/test_independence.py``, which
+    audits every leg: SERIES_HEINE runs ``_running_sum`` and
+    ``_div_one_minus_qk`` of qseries on both sides.  ``grid`` is the points
+    of every leg, in evaluation order.
     Immutable; equal to a check with equal fields, so a copy equals its
     original.
     """
@@ -378,6 +372,8 @@ def registry(
     reach = min(budget, max(top, 1))
     series_top = order if order is not None else span(200)
     o13_top, crank_top, mexres_top = span(400), span(300), span(2000)
+    # EWELL_EVEN and PROP_O13 read q(k) from one distinct-parts series.
+    q_top = max(span(300), o13_top // 2)
 
     # A formula or series side gives its values over ns as one slice of a
     # cached row: a counting row (row) or a series' coefficients (coeffs).
@@ -435,7 +431,8 @@ def registry(
         )
 
     def o13_rhs(_: None, ns: range) -> list[int]:
-        return [distinct_parts_count(n // 2) if n % 2 == 0 else 0 for n in ns]
+        q = series(q_top, "distinct", None).coeffs
+        return [q[n // 2] if n % 2 == 0 else 0 for n in ns]
 
     def mex_class_leg(stream: str, residue: int, modulus: int) -> Leg:
         # The count of partitions whose mex is residue mod modulus, by its
@@ -489,7 +486,8 @@ def registry(
             "head values 1, -1, 0, 1, 1, 1 and enumeration agreement from n = 2."
         ), (
             plain_leg("expansion", range(span(300) + 1),
-                      lambda _, ns: row("crank_zero", None, ns), crank_zero_formula),
+                      lambda _, ns: row("crank_zero", None, ns),
+                      lambda _, ns: coeffs(ns, crank_top, "crank_m", 0)),
             plain_leg("documented", range(len(_CRANK0_HEAD)),
                       lambda _, ns: row("crank_zero", None, ns),
                       lambda _, ns: _cut(_CRANK0_HEAD, ns)),
@@ -535,7 +533,7 @@ def registry(
         ), (
             plain_leg(None, range(span(300) + 1),
                       lambda _, ks: row("ewell", None, range(2 * ks.start, 2 * ks.stop, 2 * ks.step)),
-                      lambda _, ks: list(map(distinct_parts_count, ks)), key="k"),
+                      lambda _, ks: coeffs(ks, q_top, "distinct"), key="k"),
         )),
         IdentityCheck("EWELL_ODD", (
             "Ewell's identity at odd arguments: sum_j (-1)^(t(j)) p(2k + 1 - t(j)) "
@@ -601,8 +599,6 @@ def registry(
                       lambda _, ns: row("o", None, ns)),
             # o1 + o3 is the combination of p values that o is, so this leg
             # adds to o_series only the spelling of the o1 and o3 streams.
-            # o - e and M(0, n) are one combination too: oe_crank0 catches a
-            # misspelled stream, not a fault of the p table.
             plain_leg("o13_series", range(mexres_top + 1), no0_top_series,
                       lambda _, ns: list(map(add, row("o1", None, ns), row("o3", None, ns)))),
             plain_leg("oe_partitions", range(series_top + 1),
@@ -610,7 +606,7 @@ def registry(
                       lambda _, ns: list(map(add, row("e", None, ns), row("o", None, ns)))),
             plain_leg("oe_crank0", range(mexres_top + 1),
                       lambda _, ns: list(map(sub, row("o", None, ns), row("e", None, ns))),
-                      crank_zero_formula),
+                      lambda _, ns: coeffs(ns, mexres_top, "crank_m", 0)),
         )),
     )
 

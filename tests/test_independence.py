@@ -50,22 +50,10 @@ PLUMBING = _codes(_Value._init, qseries.TruncatedSeries.__init__, qseries.GfKind
                   qseries.gf, verify._cut) | {_REGISTRY_LOCALS["series"],
                                               _REGISTRY_LOCALS["coeffs"]}
 
-_P_RECURRENCE = (partitions._grow, partitions._pentagonal, partitions._slice_sums)
-_ROW_KERNEL = (counting.count_row, counting._row, counting._count, counting._stream,
-               counting._extend, partitions.shared_partition_table,
-               *_P_RECURRENCE)
-
 # The legs whose two sides share code beyond the plumbing: (legs, the
 # functions they may share, why).  The IdentityCheck docstring and the
 # README's registry paragraph give this list in these words.
 ALLOWED = (
-    ((("COR_0CRANK", "expansion"), ("PROP_MEXRES", "oe_crank0")), _ROW_KERNEL,
-     "each sum one combination of p values on both sides, by the counting row "
-     "kernel over the shared p table, so they catch a misspelled stream but "
-     "not a fault of the p table"),
-    ((("EWELL_EVEN", None), ("PROP_O13", "formula")), _P_RECURRENCE,
-     "play a p row against the q(n) table, and both tables grow by _grow, "
-     "_pentagonal and _slice_sums of partitions"),
     ((("SERIES_HEINE", None),), (qseries._running_sum, qseries._div_one_minus_qk),
      "runs _running_sum and _div_one_minus_qk of qseries on both sides"),
 )
@@ -83,7 +71,6 @@ def _reached(monkeypatch, check_index: int, leg_index: int, side: str) -> set[Co
     monkeypatch.setattr(counting, "_ROWS", {})
     monkeypatch.setattr(verify, "_STATISTICS", ())
     monkeypatch.setattr(partitions, "_PARTITION_TABLE", [1])
-    monkeypatch.setattr(partitions, "_DISTINCT_TABLE", [1])
     leg = verify.registry(**REGISTRY)[check_index].legs[leg_index]
     rows = list(zip(leg.values, leg.ranges))
     compute = getattr(leg, side)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mexcrank import verify
+from mexcrank import counting, partitions, qseries, verify
 from mexcrank.partitions import crank, mex, to_frobenius
 from mexcrank.verify import (
     BudgetExceededError,
@@ -49,6 +49,27 @@ ALL_CHECK_IDS = (
     "CRANK_GF_CONSISTENCY",
     "PROP_MEXRES",
 )
+
+
+def _p_150_plus_7(monkeypatch) -> None:
+    # p(150) raised by 7 in a fresh shared p table, grown past every row's
+    # reach at the defaults, under fresh counting rows.
+    table = [1]
+    monkeypatch.setattr(partitions, "_PARTITION_TABLE", table)
+    monkeypatch.setattr(counting, "_ROWS", {})
+    partitions.shared_partition_table(2000)
+    table[150] += 7
+
+
+def _distinct_plus_1_at_70(monkeypatch) -> None:
+    # The distinct-parts series with q(70) raised by 1, at every order.
+    name, least, build = qseries.GF_KINDS["distinct"]
+
+    def faulty(order):
+        return qseries.TruncatedSeries(
+            c + (k == 70) for k, c in enumerate(build(order).coeffs))
+
+    monkeypatch.setitem(qseries.GF_KINDS, "distinct", (name, least, faulty))
 
 
 class TestOracles:
@@ -166,7 +187,8 @@ class TestRegistry:
         for check in registry(40, budget=12):
             report = run_check(check)
             assert report.passed, (check.check_id, report.first_counterexample)
-        assert len(builds) == len(set(builds)) == 36
+        # 36 and the distinct series that EWELL_EVEN and PROP_O13 share.
+        assert len(builds) == len(set(builds)) == 37
         assert len(kinds) == len(builds)
 
     @staticmethod
@@ -185,12 +207,14 @@ class TestRegistry:
     def test_crank_series_are_shared_at_the_defaults(self, monkeypatch):
         # The benchmark's 14 checks, every check but PROP_MEXRES: COR_CRANKRECUR
         # reads each crank series at CRANK_GF_CONSISTENCY's order, 300, so the
-        # two build it once per m between them.
+        # two build it once per m between them, and COR_0CRANK reads the m = 0
+        # one.  37 counts the distinct series to 300 that EWELL_EVEN and
+        # PROP_O13 share.
         builds = self.counted_builds(monkeypatch)
         checks = checks_by_id()
         for check_id in ALL_CHECK_IDS[:-1]:
             run_check(checks[check_id])
-        assert len(builds) == len(set(builds)) == 36
+        assert len(builds) == len(set(builds)) == 37
         assert sorted(build for build in builds if build[0] == "crank_m") == [
             ("crank_m", m, 300) for m in range(13)]
 
@@ -247,6 +271,23 @@ class TestRegistry:
         monkeypatch.setattr(verify, name, faulty)
         failing = {f"{report.check_id}/{record.params.get('side')}"
                    for report in map(run_check, checks_by_id(12, budget=12).values())
+                   for record in report.records if not record.passed}
+        assert failing == legs
+
+    @pytest.mark.parametrize("plant, check_ids, legs", [
+        (_p_150_plus_7, ("COR_0CRANK", "PROP_MEXRES"),
+         {"COR_0CRANK/expansion", "PROP_MEXRES/o_series", "PROP_MEXRES/o13_series",
+          "PROP_MEXRES/oe_partitions", "PROP_MEXRES/oe_crank0"}),
+        (_distinct_plus_1_at_70, ALL_CHECK_IDS, {"EWELL_EVEN/None", "PROP_O13/formula"}),
+    ], ids=["p_150_plus_7", "distinct_plus_1_at_70"])
+    def test_formula_sides_read_their_series(self, plant, check_ids, legs, monkeypatch):
+        # A fault planted in the p table or in the distinct-parts series fails
+        # exactly the legs, as CHECK/side, that read it on one side alone:
+        # a counting row against a series, never two rows over one table.
+        plant(monkeypatch)
+        checks = checks_by_id()
+        failing = {f"{report.check_id}/{record.params.get('side')}"
+                   for report in (run_check(checks[check_id]) for check_id in check_ids)
                    for record in report.records if not record.passed}
         assert failing == legs
 
@@ -315,7 +356,9 @@ class TestMutationProbe:
         out = capsys.readouterr().out
         assert (f"{crashing.name}: verify crashed: IndexError: list index out of range"
                 f"  EXPECTED kills {', '.join(crashing.kills)}\n") in out
-        assert f"killed {len(probe.MUTANTS) - 6} of {len(probe.MUTANTS)}; 1 expectations broken" in out
+        # Every mutant with kills but the crashed one.
+        killed = sum(1 for mutant in probe.MUTANTS if mutant.kills) - 1
+        assert f"killed {killed} of {len(probe.MUTANTS)}; 1 expectations broken" in out
         matrix = json.loads(out[out.index("\n{") + 1:])
         assert list(matrix) == sorted(mutant.name for mutant in probe.MUTANTS)
 

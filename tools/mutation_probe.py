@@ -70,23 +70,27 @@ MUTANTS = (
     Mutant("poch_zero_pad_one_short", "qseries",
            "out[start + _BLOCK - g:stop + _BLOCK - g]",
            "out[start + _BLOCK - g + (g > start):stop + _BLOCK - g + (g > start)]",
-           kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+           kills=("COR_CRANKRECUR", "COR_0CRANK", "THM_FROB_J", "PROP_O13", "EWELL_EVEN",
+                  "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_far_slice_shifted", "qseries",
            "out[start + _BLOCK - g:stop + _BLOCK - g]",
            "out[start + _BLOCK - g - (g < start):stop + _BLOCK - g - (g < start)]",
-           kills=("CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+           kills=("COR_0CRANK", "EWELL_EVEN", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_prefix_strip_one_short", "qseries",
            "    del out[:_BLOCK]\n",
            "    del out[:_BLOCK - 1]\n",
-           kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+           kills=("COR_CRANKRECUR", "COR_0CRANK", "THM_FROB_J", "PROP_O13", "EWELL_EVEN",
+                  "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("poch_last_far_offset_skipped", "qseries",
            "for g in offsets[:bisect_left(offsets, stop)]]",
            "for g in offsets[:max(bisect_left(offsets, stop) - 1, 0)]]",
-           kills=("THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+           kills=("COR_0CRANK", "THM_FROB_J", "EWELL_EVEN", "CRANK_GF_CONSISTENCY",
+                  "PROP_MEXRES")),
     Mutant("poch_near_offset_126_dropped", "qseries",
            "near_minus, far_minus, near_plus, far_plus = minus[:i], minus[i:]",
            "near_minus, far_minus, near_plus, far_plus = minus[:i - 1], minus[i:]",
-           kills=("COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
+           kills=("COR_CRANKRECUR", "COR_0CRANK", "THM_FROB_J", "PROP_O13", "EWELL_EVEN",
+                  "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     # --- a21bd56: formula and series mutants ---------------------------------
     Mutant("o_and_e_streams_105", "counting",
            "    return _triangular_terms(int(1 % modulus == residue), period)\n",
@@ -101,7 +105,11 @@ MUTANTS = (
     Mutant("crank_series_term_from_435", "qseries",
            "for term in ((e, (-1) ** (n - 1)), (e + n, (-1) ** n)))",
            "for term in ((e, (-1) ** (n - 1) + (e >= 435)), (e + n, (-1) ** n)))",
-           survives="item 9"),
+           kills=("PROP_MEXRES",)),
+    Mutant("distinct_numerator_plus_1_at_140", "qseries",
+           "((2 * g, c) for g, c in _pentagonal())",
+           "((2 * g, c + (g == 70)) for g, c in _pentagonal())",
+           kills=("PROP_O13", "EWELL_EVEN")),
     Mutant("div_block_walk_stops_at_190", "qseries",
            "for i in range(lo + k, len(coeffs), k):",
            "for i in range(lo + k, min(len(coeffs), 190), k):",
@@ -110,13 +118,12 @@ MUTANTS = (
     Mutant("extend_cut_at_g_ge_limit", "counting",
            "        if g > limit:\n            break\n        (plus if c > 0",
            "        if g >= limit:\n            break\n        (plus if c > 0",
-           kills=("THM_JCRANK", "COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY",
-                  "PROP_MEXRES")),
+           kills=("THM_JCRANK", "COR_CRANKRECUR", "COR_0CRANK", "THM_FROB_J",
+                  "CRANK_GF_CONSISTENCY")),
     Mutant("crank_step_off_by_one", "counting",
            "lo, sign = lo + k + abs(m), -sign",
            "lo, sign = lo + k + abs(m) + 1, -sign",
-           kills=("COR_CRANKRECUR", "COR_0CRANK", "PROP_NOF0", "CRANK_GF_CONSISTENCY",
-                  "PROP_MEXRES")),
+           kills=("COR_CRANKRECUR", "COR_0CRANK", "PROP_NOF0", "CRANK_GF_CONSISTENCY")),
     Mutant("residue_first_term_rule", "counting",
            "_triangular_terms(int(1 % modulus == residue), period)",
            "_triangular_terms(int(0 % modulus == residue), period)",
@@ -224,8 +231,8 @@ MUTANTS = (
     Mutant("slice_sums_stop_one_short", "partitions",
            "for g in offsets[:bisect_left(offsets, stop)]]",
            "for g in offsets[:bisect_left(offsets, stop - 1)]]",
-           kills=("THM_JCRANK", "COR_CRANKRECUR", "THM_FROB_J", "CRANK_GF_CONSISTENCY",
-                  "PROP_MEXRES")),
+           kills=("THM_JCRANK", "COR_CRANKRECUR", "COR_0CRANK", "THM_FROB_J",
+                  "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("slice_sums_zero_pad_one_short", "partitions",
            "zeros[:g - start] + table[:stop - g]",
            "zeros[:g - start - 1] + table[:stop - g + 1]",
@@ -235,14 +242,14 @@ MUTANTS = (
     Mutant("grow_far_offsets_from_148", "partitions",
            "i, j = bisect_left(plus, _BLOCK), bisect_left(minus, _BLOCK)",
            "i, j = bisect_left(plus, 148), bisect_left(minus, 148)",
-           kills=("COR_CRANKRECUR", "PROP_NOF0", "THM_FROB_J", "PROP_O13", "EWELL_EVEN",
-                  "EWELL_ODD", "THM_AN_PARITY", "INEQ_OE", "CRANK_GF_CONSISTENCY",
+           kills=("COR_CRANKRECUR", "COR_0CRANK", "PROP_NOF0", "THM_FROB_J", "PROP_O13",
+                  "EWELL_EVEN", "EWELL_ODD", "THM_AN_PARITY", "INEQ_OE", "CRANK_GF_CONSISTENCY",
                   "PROP_MEXRES")),
     Mutant("p_table_plus_1_at_300", "partitions",
            "            window.append(scale * acc + forcing.get(n, 0))\n",
            "            window.append(scale * acc + forcing.get(n, 0) + (n == 300))\n",
-           kills=("PROP_O13", "EWELL_EVEN", "THM_AN_PARITY", "CRANK_GF_CONSISTENCY",
-                  "PROP_MEXRES")),
+           kills=("COR_0CRANK", "PROP_O13", "EWELL_EVEN", "THM_AN_PARITY",
+                  "CRANK_GF_CONSISTENCY", "PROP_MEXRES")),
     Mutant("grow_window_cut_one_short", "partitions",
            "table.extend(window[_BLOCK:])",
            "table.extend(window[_BLOCK - 1:])",
