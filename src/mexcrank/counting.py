@@ -10,21 +10,22 @@ the ``verify`` legs read their counts so, and each public per-n function is
 one n of it.  The row holds sum_i c_i p(n - g_i) for n = 0, 1, ...;
 :func:`count_row` grows it to the last n it returns and no further, while a
 per-n function, like the shared p table, grows it to the end of the block
-of 128 that holds its n.  Growing it sums, one block at a time, the slices
-of the shared p table that line up with the new entries, in C, with the
-kernel that the p and q recurrences use, ``partitions._slice_sums``.  There
-is one row per stream and parameter (M is keyed by |m|, and Ewell's two
-sums share one row), held for the life of the process like the p table: at
-most (rows used) x (largest n asked, rounded up to 128) entries.  The
-default ``verify`` grows 40 rows, 16,761 entries in all, which take
-0.70 MiB (``sys.getsizeof`` of each row and its entries, 64-bit CPython
-3.11.7); ``verify --order 20000`` grows them to 36.2 MiB and
-``--n-max 20000`` to 42.4 MiB.  A ``table`` row, :func:`table_row`, takes
-the other route: the row's generating function is S(q)/(q;q)_inf, with S
-the sum of c q^g, so :func:`mexcrank.partitions.euler_quotient` divides S by
-the pentagonal recurrence.  A row then costs about what the p table to
-n_max costs, and never reads or grows the shared table; the row tests
-compare it with the cached rows.  The streams, with t_i = i(i + 1)/2:
+of 128 that holds its n.  Growing it takes, one block at a time, the
+signed sums of the slices of the shared p table that line up with the new
+entries, in C, with one call per block of the kernel that the p and q
+recurrences use, ``partitions._slice_sums``.  There is one row per stream
+and parameter (M is keyed by |m|, and Ewell's two sums share one row), held
+for the life of the process like the p table: at most (rows used) x
+(largest n asked, rounded up to 128) entries.  The default ``verify`` grows
+40 rows, 15,061 entries in all, which take 0.62 MiB (``sys.getsizeof`` of
+each row and its entries, 64-bit CPython 3.11.7); ``verify --order 20000``
+grows them to 36.2 MiB and ``--n-max 20000`` to 42.4 MiB.  A ``table``
+row, :func:`table_row`, takes the other route: the row's generating
+function is S(q)/(q;q)_inf, with S the sum of c q^g, so
+:func:`mexcrank.partitions.euler_quotient` divides S by the pentagonal
+recurrence.  A row then costs about what the p table to n_max costs, and
+never reads or grows the shared table; the row tests compare it with the
+cached rows.  The streams, with t_i = i(i + 1)/2:
 
 * M(m, n): k(k + 2|m| - 1)/2 with (-1)^(k+1), then k(k + 2|m| + 1)/2 with
   (-1)^k, for k >= 1; crank >= j: k(k - 1)/2 + kj with (-1)^(k+1);
@@ -35,17 +36,18 @@ compare it with the cached rows.  The streams, with t_i = i(i + 1)/2:
   (-1)^(t_i) at t_i.
 
 The crank-zero expansion equals M(0, n) and 2 o(n) - p(n), yet keeps its own
-stream: COR_0CRANK checks it against M(0, n), and two sides built from one
-stream would check nothing.  Likewise Ewell's sums never read the q(n) table
-that EWELL_EVEN checks them against.
+stream: COR_0CRANK checks it against the crank series at m = 0 and against
+enumeration, and two sides built from one stream would check nothing.
+Likewise Ewell's sums never read the distinct-parts series that EWELL_EVEN
+checks them against.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, chain, count, cycle, islice
-from operator import itemgetter, sub
+from itertools import accumulate, chain, count, cycle, islice, takewhile
+from operator import itemgetter
 
 from .partitions import _BLOCK, _slice_sums, euler_quotient, shared_partition_table
 
@@ -67,32 +69,19 @@ _ROWS: dict[tuple[str, int | None], list[int]] = {}
 def _row(key: tuple[str, int | None], stream: Callable[[int | None], Terms],
          n: int) -> list[int]:
     # The row of key, whose terms are stream(key[1]), holding entry n: a
-    # miss grows it to n and no further, in blocks of _BLOCK from its end.
-    row = _ROWS.get(key)
-    if row is None:
-        row = _ROWS[key] = []
+    # miss grows it to n and no further, from its end, one _slice_sums call
+    # over the shared p table per block of _BLOCK.  A term with g <= n
+    # enters the offsets added, or subtracted, |c| times.
+    row = _ROWS.setdefault(key, [])
     if n >= len(row):
-        _extend(row, stream(key[1]), n)
+        plus: list[int] = []
+        minus: list[int] = []
+        for g, c in takewhile(lambda term: term[0] <= n, stream(key[1])):
+            (plus if c > 0 else minus).extend([g] * abs(c))
+        p = shared_partition_table(n)
+        for start in range(len(row), n + 1, _BLOCK):
+            row.extend(_slice_sums(p, plus, minus, start, min(start + _BLOCK, n + 1)))
     return row
-
-
-def _extend(row: list[int], terms: Terms, limit: int) -> None:
-    # Append sum_g c p(n - g) for n = len(row)..limit: a term with g <= limit
-    # enters the offsets added, or subtracted, |c| times, and each block of
-    # _BLOCK new entries is the difference of their slice sums over the
-    # shared p table.  The plus sums are a list, so that their slices are
-    # freed before the minus slices are taken.
-    plus: list[int] = []
-    minus: list[int] = []
-    for g, c in terms:
-        if g > limit:
-            break
-        (plus if c > 0 else minus).extend([g] * abs(c))
-    p = shared_partition_table(limit)
-    for start in range(len(row), limit + 1, _BLOCK):
-        stop = min(start + _BLOCK, limit + 1)
-        row.extend(map(sub, list(_slice_sums(p, plus, start, stop)),
-                       _slice_sums(p, minus, start, stop)))
 
 
 def _triangular_terms(first: int, period: Sequence[int]) -> Terms:

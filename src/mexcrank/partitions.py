@@ -407,10 +407,10 @@ def _pentagonal(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 # The blocks are [start, stop) with stop a multiple of _BLOCK, a power of
 # two, or limit + 1.  An offset g >= _BLOCK reads only entries below start,
-# so the far offsets' terms for the whole block are column sums of slices,
-# done in C by _slice_sums.  The near offsets, below _BLOCK (18 pentagonal
-# numbers and 11 squares), run per n on a window: the _BLOCK entries below
-# start, with zeros for n < 0, then the new block, which extends the table.
+# so the block's far terms are signed column sums of slices, done in C by
+# _slice_sums.  The near offsets, below _BLOCK (18 pentagonal numbers and
+# 11 squares), run per n on a window: the _BLOCK entries below start, with
+# zeros for n < 0, then the new block, which extends the table.
 _BLOCK = 128
 
 
@@ -426,10 +426,7 @@ def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int
     start = len(table)
     while start <= limit:
         stop = min((start | (_BLOCK - 1)) + 1, limit + 1)
-        # The plus sums are a list, so that their slices are freed before
-        # the minus slices are taken.
-        far = map(sub, list(_slice_sums(table, far_plus, start, stop)),
-                  _slice_sums(table, far_minus, start, stop))
+        far = _slice_sums(table, far_plus, far_minus, start, stop)
         window = [0] * (_BLOCK - start) + table[max(start - _BLOCK, 0):start]
         for n, acc in zip(range(start, stop), far):
             i = len(window)
@@ -442,16 +439,22 @@ def _grow(table: list[int], limit: int, plus: Sequence[int], minus: Sequence[int
         start = stop
 
 
-def _slice_sums(table: Sequence[int], offsets: Sequence[int], start: int,
-                stop: int) -> Iterator[int]:
-    # sum_g table[n - g] for n = start..stop-1 over the ascending offsets
-    # g < stop, leaving out g > n: the column sums of one slice of table per
-    # offset, all in C.  The slices are taken now, so a caller may append to
-    # table while it reads the sums.
+def _slice_sums(table: Sequence[int], plus: Sequence[int], minus: Sequence[int],
+                start: int, stop: int) -> Iterator[int]:
+    # sum_(g in plus) table[n - g] - sum_(g in minus) table[n - g] for
+    # n = start..stop-1 over the ascending offsets g < stop, leaving out
+    # g > n: signed column sums of one slice of table per offset, in C.  The
+    # plus sums are a list, so that their slices are freed before the minus
+    # slices are taken; all are taken now, so a caller may append to table
+    # while it reads the sums.
     zeros = [0] * (stop - start)
-    slices = [table[start - g:stop - g] if g <= start else zeros[:g - start] + table[:stop - g]
-              for g in offsets[:bisect_left(offsets, stop)]]
-    return map(sum, zip(zeros, *slices))
+
+    def column_sums(offsets: Sequence[int]) -> Iterator[int]:
+        slices = [table[start - g:stop - g] if g <= start else zeros[:g - start] + table[:stop - g]
+                  for g in offsets[:bisect_left(offsets, stop)]]
+        return map(sum, zip(zeros, *slices))
+
+    return map(sub, list(column_sums(plus)), column_sums(minus))
 
 
 def partition_count_table(limit: int) -> list[int]:

@@ -406,9 +406,6 @@ def registry(
     def crank_formula(m: int, ns: range) -> list[int]:
         return row("M", abs(m), ns)  # M(m, n) is M(-m, n): one row for both
 
-    def crank_zero_formula(_: None, ns: range) -> list[int]:
-        return row("M", 0, ns)
-
     def frob_no0_series(_: None, ns: range) -> Sequence[int]:
         return coeffs(ns, series_top, "frob_no0")
 
@@ -492,14 +489,16 @@ def registry(
                       lambda _, ns: row("crank_zero", None, ns),
                       lambda _, ns: _cut(_CRANK0_HEAD, ns)),
             plain_leg("oracle", range(2, top + 1),
-                      enumerated(crank_value_oracle, 0), crank_zero_formula),
+                      enumerated(crank_value_oracle, 0),
+                      lambda _, ns: row("crank_zero", None, ns)),
         )),
         IdentityCheck("PROP_NOF0", (
             "The crank-zero count M(0,n) equals F(n) - F(n-1), where F counts "
             "partitions whose Frobenius symbol avoids 0 in both rows; in "
             "particular M(0,1) = -1 = F(1) - F(0)."
         ), (
-            plain_leg("series", range(series_top + 1), frob_no0_step, crank_zero_formula),
+            plain_leg("series", range(series_top + 1), frob_no0_step,
+                      lambda _, ns: crank_formula(0, ns)),
             plain_leg("oracle", range(min(top, series_top) + 1),
                       enumerated(frobenius_no0_oracle), frob_no0_series),
         )),

@@ -309,18 +309,20 @@ def test_row_grown_one_n_at_a_time_matches_one_call(key, monkeypatch):
 
 def test_cold_jump_sums_one_block_per_kernel_call(fresh_rows, monkeypatch):
     # A row grown from empty to n = 3000 in one call reads the shared p table
-    # one block at a time, so no kernel call holds slices wider than a block.
+    # one block at a time, so no kernel call holds slices wider than a block:
+    # one call per block, taking the plus and the minus offsets together.
     # The crank-zero stream has coefficients +-2, each a term entered twice.
     slice_sums, widths = counting._slice_sums, []
 
-    def recorded(table, offsets, start, stop):
+    def recorded(table, plus, minus, start, stop):
         assert 0 < stop - start <= partitions._BLOCK
+        assert plus and minus
         widths.append(stop - start)
-        return slice_sums(table, offsets, start, stop)
+        return slice_sums(table, plus, minus, start, stop)
 
     monkeypatch.setattr(counting, "_slice_sums", recorded)
     jumped = {"M3": crank_count(3, 3000), "crank_zero": crank_zero_expansion(3000)}
-    assert sum(widths) == 2 * 2 * 3072  # two rows, plus and minus sums
+    assert sum(widths) == 2 * 3072  # two rows, one signed sum per block
     rows = {"M3": fresh_rows[("M", 3)], "crank_zero": fresh_rows[counting._CRANK_ZERO[0]]}
     monkeypatch.setattr(counting, "_ROWS", {})
     stepwise = {"M3": [crank_count(3, n) for n in range(3001)],

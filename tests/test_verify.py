@@ -72,6 +72,22 @@ def _distinct_plus_1_at_70(monkeypatch) -> None:
     monkeypatch.setitem(qseries.GF_KINDS, "distinct", (name, least, faulty))
 
 
+def _row_plus_1_at_20(fn: str, param: int | None):
+    # A plant that raises entry n = 20 of the counting row (fn, param) by 1,
+    # as count_row gives it; set before the registry reads count_row.
+    def plant(monkeypatch) -> None:
+        real = counting.count_row
+
+        def faulty(row_fn, row_param, ns):
+            values = real(row_fn, row_param, ns)
+            if (row_fn, row_param) != (fn, param):
+                return values
+            return [value + (n == 20) for n, value in zip(ns, values)]
+
+        monkeypatch.setattr(counting, "count_row", faulty)
+    return plant
+
+
 class TestOracles:
     def test_oracle_count_examples(self):
         assert oracle_count(4, lambda lam: mex(lam) % 2 == 1) == 3
@@ -218,6 +234,30 @@ class TestRegistry:
         assert sorted(build for build in builds if build[0] == "crank_m") == [
             ("crank_m", m, 300) for m in range(13)]
 
+    def test_cache_figures_at_the_defaults_are_the_documented_ones(self, monkeypatch):
+        # All 15 checks from cold caches build 39 series, among them
+        # crank_m(0) at 300 (COR_CRANKRECUR, COR_0CRANK, CRANK_GF_CONSISTENCY)
+        # and at 2000 (PROP_MEXRES), and frob_noj_top(0) at 200 (THM_FROB_J)
+        # and at 2000 (PROP_MEXRES), and grow 40 counting rows: the figures
+        # that the counting docstring and the README quote.
+        builds = self.counted_builds(monkeypatch)
+        monkeypatch.setattr(counting, "_ROWS", {})
+        checks = checks_by_id()
+        for check_id in ALL_CHECK_IDS:
+            run_check(checks[check_id])
+        assert len(builds) == len(set(builds)) == 39
+        assert sorted(build for build in builds if build[:2] in {("crank_m", 0),
+                                                                 ("frob_noj_top", 0)}) == [
+            ("crank_m", 0, 300), ("crank_m", 0, 2000),
+            ("frob_noj_top", 0, 200), ("frob_noj_top", 0, 2000)]
+        rows = counting._ROWS
+        assert (len(rows), sum(map(len, rows.values()))) == (40, 15061)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        for text in (counting.__doc__, readme):
+            flat = " ".join(text.replace("`", "").split())
+            assert "verify grows 40 rows, 15,061 entries" in flat
+        assert "39 series taking" in " ".join(readme.split())
+
     def test_crank_recurrence_report_is_the_same_alone_and_shared(self, monkeypatch, capsys):
         # COR_CRANKRECUR's JSON report, byte for byte, alone, before
         # CRANK_GF_CONSISTENCY and after it; alone, it builds its crank series
@@ -279,11 +319,19 @@ class TestRegistry:
          {"COR_0CRANK/expansion", "PROP_MEXRES/o_series", "PROP_MEXRES/o13_series",
           "PROP_MEXRES/oe_partitions", "PROP_MEXRES/oe_crank0"}),
         (_distinct_plus_1_at_70, ALL_CHECK_IDS, {"EWELL_EVEN/None", "PROP_O13/formula"}),
-    ], ids=["p_150_plus_7", "distinct_plus_1_at_70"])
+        (_row_plus_1_at_20("crank_zero", None), ALL_CHECK_IDS,
+         {"COR_0CRANK/expansion", "COR_0CRANK/oracle"}),
+        (_row_plus_1_at_20("M", 0), ALL_CHECK_IDS,
+         {"COR_CRANKRECUR/oracle", "COR_CRANKRECUR/series", "CRANK_GF_CONSISTENCY/None",
+          "PROP_NOF0/series"}),
+    ], ids=["p_150_plus_7", "distinct_plus_1_at_70", "crank_zero_row_plus_1_at_20",
+            "m0_row_plus_1_at_20"])
     def test_formula_sides_read_their_series(self, plant, check_ids, legs, monkeypatch):
-        # A fault planted in the p table or in the distinct-parts series fails
-        # exactly the legs, as CHECK/side, that read it on one side alone:
-        # a counting row against a series, never two rows over one table.
+        # A fault planted in the p table, in the distinct-parts series or in
+        # one counting row fails exactly the legs, as CHECK/side, that read it
+        # on one side alone: a counting row against a series or against
+        # enumeration, never two rows over one table, and no two legs that
+        # compare the same two callables.
         plant(monkeypatch)
         checks = checks_by_id()
         failing = {f"{report.check_id}/{record.params.get('side')}"

@@ -116,14 +116,14 @@ MUTANTS = (
            kills=("PROP_NOF0", "SERIES_HEINE", "DURFEE_RECT")),
     # --- c752f3f: the p-combination streams of counting ----------------------
     Mutant("extend_cut_at_g_ge_limit", "counting",
-           "        if g > limit:\n            break\n        (plus if c > 0",
-           "        if g >= limit:\n            break\n        (plus if c > 0",
+           "takewhile(lambda term: term[0] <= n,",
+           "takewhile(lambda term: term[0] < n,",
            kills=("THM_JCRANK", "COR_CRANKRECUR", "COR_0CRANK", "THM_FROB_J",
                   "CRANK_GF_CONSISTENCY")),
     Mutant("crank_step_off_by_one", "counting",
            "lo, sign = lo + k + abs(m), -sign",
            "lo, sign = lo + k + abs(m) + 1, -sign",
-           kills=("COR_CRANKRECUR", "COR_0CRANK", "PROP_NOF0", "CRANK_GF_CONSISTENCY")),
+           kills=("COR_CRANKRECUR", "PROP_NOF0", "CRANK_GF_CONSISTENCY")),
     Mutant("residue_first_term_rule", "counting",
            "_triangular_terms(int(1 % modulus == residue), period)",
            "_triangular_terms(int(0 % modulus == residue), period)",
